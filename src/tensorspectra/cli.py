@@ -68,6 +68,8 @@ def _config_echo(args):
         "kmax_offset": int(args.kmax_offset),
         "nonneg": "true" if args.nonneg else "false",
         "tol_res": _fmt(args.tol_res),
+        "tol_eq": _fmt(args.tol_eq),
+        "tol_dedup": _fmt(args.tol_dedup),
         "rank_tol": _fmt(args.rank_tol),
         "seed": int(args.seed),
     }
@@ -126,8 +128,6 @@ def build_parser():
                         help="emit the machine-readable report")
     parser.add_argument("--dump-sdp", metavar="DIR", default=None,
                         help="write each relaxation to DIR in text form")
-    parser.add_argument("--parallel", action="store_true",
-                        help="run Z and H sweeps of 'both' mode concurrently")
     return parser
 
 
@@ -196,15 +196,7 @@ def run(argv=None):
         opts.solver = _dumping_solver(args.dump_sdp)
 
     kinds = {"zeig": ["Z"], "heig": ["H"], "both": ["Z", "H"]}[args.mode]
-    spectra = []
-    if args.parallel and len(kinds) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=len(kinds)) as pool:
-            futures = [pool.submit(full_sweep, k, A, opts) for k in kinds]
-            spectra = [f.result() for f in futures]
-    else:
-        spectra = [full_sweep(k, A, opts) for k in kinds]
+    spectra = [full_sweep(k, A, opts) for k in kinds]
 
     exit_code = 0
     for spectrum in spectra:

@@ -272,6 +272,8 @@ class _Driver:
         # relaxation order that last certified, per problem family; later
         # steps start there (an infeasible or flat order stays so upward)
         self._warm = {}
+        # per-order parts shared by this sweep's relaxations (build_min_relaxation)
+        self._relaxations = {}
 
     def _record(self, **kw):
         self.log.append(kw)
@@ -330,7 +332,8 @@ class _Driver:
         start = min(self._warm.get("min", sys_.k0), kmax)
         for k in range(start, kmax + 1):
             prob = build_min_relaxation(sys_.f, sys_.h,
-                                        self.base_ineqs + extra_ineqs, k)
+                                        self.base_ineqs + extra_ineqs, k,
+                                        store=self._relaxations)
             sol = self._solve(prob, phase, k, delta)
             if sol.status == SolveStatus.PRIMAL_INFEASIBLE:
                 report = verify_solution(prob, sol)
@@ -386,7 +389,8 @@ class _Driver:
         start = min(self._warm.get("max", sys_.k0), kmax)
         for k in range(start, kmax + 1):
             prob = build_max_relaxation(sys_.f, sys_.h,
-                                        self.base_ineqs + [cap], k)
+                                        self.base_ineqs + [cap], k,
+                                        store=self._relaxations)
             sol = self._solve(prob, "backward-max", k, delta)
             if sol.status == SolveStatus.PRIMAL_INFEASIBLE:
                 # cannot happen below a cap above a true eigenvalue

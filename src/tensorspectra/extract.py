@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .momentsdp import assemble_matrix, moment_structure
-from .poly import basis_size, monomials_upto, rank_table
+from .poly import basis_size, moment_index_table, monomials_upto, rank_table
 
 RECON_TOL = 1e-4          # accepted reconstruction residual (inf-norm)
 WEIGHT_SUM_TOL = 1e-6     # extracted weights must sum to 1 within this
@@ -64,8 +63,7 @@ def flat_truncation(y, k0, k, tau_rank=1e-6):
 
     def rank_at(t):
         if t not in ranks:
-            M = assemble_matrix(moment_structure(y.n, t), y)
-            ranks[t] = numerical_rank(M, tau_rank)
+            ranks[t] = numerical_rank(_moment_matrix(y, t), tau_rank)
         return ranks[t]
 
     for t in range(k0, k + 1):
@@ -74,8 +72,15 @@ def flat_truncation(y, k0, k, tau_rank=1e-6):
     return None
 
 
+def _moment_matrix(y, t):
+    """M_t(y) of a moment vector y of order at least t."""
+    if t > y.k:
+        raise ValueError(f"moment vector of order {y.k} has no M_{t}")
+    return y.values[moment_index_table(y.n, t)]
+
+
 def _moment_matrix_factor(y, t, tau_rank):
-    M = assemble_matrix(moment_structure(y.n, t), y)
+    M = _moment_matrix(y, t)
     r = numerical_rank(M, tau_rank)
     if r == 0:
         raise ExtractionError("moment matrix is numerically zero")

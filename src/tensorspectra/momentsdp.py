@@ -15,6 +15,7 @@ L_ineq(y) positive semidefinite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -74,23 +75,17 @@ class LocalizingStructure:
     num_moments: int
     matrix: scipy.sparse.csr_matrix = field(repr=False)
 
-
-_structure_cache = {}
-
-
-def _poly_key(q):
-    return (q.n, tuple(sorted(q.terms.items())))
+    @cached_property
+    def ops(self):
+        """Dense (num_moments, side, side) form of ``matrix``, built on first use."""
+        return self.matrix.toarray().T.reshape(self.num_moments, self.side, self.side)
 
 
 def localizing_structure(q, k):
-    """Build the localizing structure of q at order k (cached)."""
+    """Build the localizing structure of q at order k."""
     dq = q.degree
     if dq > 2 * k:
         raise ValueError(f"polynomial degree {dq} exceeds 2k = {2 * k}")
-    key = (_poly_key(q), k)
-    hit = _structure_cache.get(key)
-    if hit is not None:
-        return hit
     n = q.n
     half = (dq + 1) // 2
     side = basis_size(n, k - half)
@@ -113,10 +108,8 @@ def localizing_structure(q, k):
                     data.append(c)
     mat = scipy.sparse.csr_matrix(
         (data, (rows, cols)), shape=(side * side, num_moments))
-    s = LocalizingStructure(q=q, k=k, n=n, side=side,
-                            num_moments=num_moments, matrix=mat)
-    _structure_cache[key] = s
-    return s
+    return LocalizingStructure(q=q, k=k, n=n, side=side,
+                               num_moments=num_moments, matrix=mat)
 
 
 def moment_structure(n, k):
@@ -186,16 +179,8 @@ def _independent_rows(L):
     return sorted(piv[:rank])
 
 
-_eq_cache = {}
-
-
-def _equality_system(eqs, k, n, num_vars):
-    """Reduced equality rows for <1,y>=1 and all localizing cells (cached)."""
-    key = (tuple(_poly_key(h) for h in eqs), k)
-    hit = _eq_cache.get(key)
-    if hit is not None:
-        return hit
-
+def _equality_system(eqs, k, num_vars):
+    """Reduced equality rows for <1,y>=1 and all localizing cells."""
     # every scalar cell of each equality localizing matrix, upper triangle once
     raw = []
     for h in eqs:
@@ -222,11 +207,10 @@ def _equality_system(eqs, k, n, num_vars):
     eq_rows = np.vstack([unit[None, :], loc])
     eq_rhs = np.zeros(eq_rows.shape[0])
     eq_rhs[0] = 1.0
-    _eq_cache[key] = (eq_rows, eq_rhs, farkas_mu)
-    return _eq_cache[key]
+    return eq_rows, eq_rhs, farkas_mu
 
 
-def _build_relaxation(f, eqs, ineqs, k, maximize):
+def _build_relaxation(f, eqs, ineqs, k, maximize, store):
     n = f.n
     if f.degree > 2 * k:
         raise ValueError(f"objective degree {f.degree} exceeds 2k = {2 * k}")
@@ -237,28 +221,34 @@ def _build_relaxation(f, eqs, ineqs, k, maximize):
             raise ValueError(f"constraint degree {g.degree} exceeds 2k = {2 * k}")
     num_vars = basis_size(n, 2 * k)
     c = f.coefficient_vector(2 * k)
-    eq_rows, eq_rhs, farkas_mu = _equality_system(tuple(eqs), k, n, num_vars)
+    store = {} if store is None else store
+    if k not in store:
+        store[k] = (moment_structure(n, k), _equality_system(eqs, k, num_vars))
+    moment, (eq_rows, eq_rhs, farkas_mu) = store[k]
 
-    blocks = [moment_structure(n, k)]
+    blocks = [moment]
     blocks.extend(localizing_structure(g, k) for g in ineqs)
     return ConicProblem(n=n, k=k, c=c, eq_rows=eq_rows, eq_rhs=eq_rhs,
                         blocks=blocks, maximize=maximize, farkas_mu=farkas_mu)
 
 
-def build_min_relaxation(f, eqs, ineqs, k):
-    """Order-k moment relaxation of minimizing f over {eqs = 0, ineqs >= 0}."""
-    return _build_relaxation(f, eqs, ineqs, k, maximize=False)
+def build_min_relaxation(f, eqs, ineqs, k, store=None):
+    """Order-k moment relaxation of minimizing f over {eqs = 0, ineqs >= 0}.
+
+    ``store``, a dict shared only by relaxations with the same eqs, keeps
+    the moment structure and the reduced equality system per order k.
+    """
+    return _build_relaxation(f, eqs, ineqs, k, False, store)
 
 
-def build_max_relaxation(f, eqs, ineqs, k):
+def build_max_relaxation(f, eqs, ineqs, k, store=None):
     """Order-k moment relaxation of maximizing f over {eqs = 0, ineqs >= 0}.
 
     Internally minimizes <-f, y>; reported objectives are in the maximize
     sense.  An upper bound f <= B enters through ineqs as the polynomial
-    B - f.
+    B - f.  ``store`` is as for :func:`build_min_relaxation`.
     """
-    prob = _build_relaxation(f.scale(-1.0), eqs, ineqs, k, maximize=True)
-    return prob
+    return _build_relaxation(f.scale(-1.0), eqs, ineqs, k, True, store)
 
 
 def dump_problem(problem):

@@ -51,6 +51,17 @@ def rank_table(n, d):
     return {mono: i for i, mono in enumerate(monomials_upto(n, d))}
 
 
+@lru_cache(maxsize=None)
+def moment_index_table(n, t):
+    """Read-only index array with M_t(y) = y[idx] for any moment values y."""
+    basis = monomials_upto(n, t)
+    table = rank_table(n, 2 * t)
+    idx = np.array([[table[tuple(x + y for x, y in zip(a, b))] for b in basis]
+                    for a in basis], dtype=np.intp)
+    idx.flags.writeable = False
+    return idx
+
+
 def monomial_rank(alpha):
     """Position of an exponent tuple in the graded-lex order."""
     alpha = tuple(int(a) for a in alpha)

@@ -67,21 +67,6 @@ class ConicSolution:
         return self.metrics.get("iterations", 0)
 
 
-_dense_ops = {}
-
-
-def _block_ops(block):
-    """Dense (N, q, q) operator array for a localizing structure, cached."""
-    key = id(block)
-    hit = _dense_ops.get(key)
-    if hit is not None:
-        return hit[1]
-    q, N = block.side, block.num_moments
-    ops = block.matrix.toarray().T.reshape(N, q, q)
-    _dense_ops[key] = (block, ops)
-    return ops
-
-
 def _min_eig_step(M, dM):
     """Largest a with M + a*dM still PSD, for M positive definite."""
     try:
@@ -121,9 +106,9 @@ class _Workspace:
         self.p, self.N = self.G.shape
         self.blocks = problem.blocks
         self.sides = [blk.side for blk in problem.blocks]
-        self.ops = [_block_ops(blk) for blk in problem.blocks]
-        self.mats = [blk.matrix for blk in problem.blocks]
-        self.matTs = [blk.matrix.T.tocsr() for blk in problem.blocks]
+        # views sharing each block's arrays, taken once: taking one costs more
+        # than a product with it
+        self.transposed = [blk.matrix.T for blk in problem.blocks]
         self.cone_dim = sum(self.sides)
         self.normb = 1.0 + np.max(np.abs(self.b))
         self.normc = 1.0 + (np.max(np.abs(self.c)) if self.c.size else 0.0)
@@ -134,12 +119,12 @@ class _Workspace:
 
     def apply(self, v):
         """block_j(v) for each block."""
-        return [(m @ v).reshape(q, q) for m, q in zip(self.mats, self.sides)]
+        return [(blk.matrix @ v).reshape(blk.side, blk.side) for blk in self.blocks]
 
     def adjoint(self, Xs):
         """sum_j adj_j(X_j), mapping block matrices back to y-space."""
         out = np.zeros(self.N)
-        for mt, X in zip(self.matTs, Xs):
+        for mt, X in zip(self.transposed, Xs):
             out += mt @ X.ravel()
         return out
 
@@ -239,8 +224,8 @@ def solve(problem, options=None):
         except np.linalg.LinAlgError:
             break
         Phi = np.zeros((N, N))
-        for (R, Rinv, sig), ops in zip(scalings, ws.ops):
-            V = Rinv @ ops @ Rinv.T
+        for (R, Rinv, sig), blk in zip(scalings, ws.blocks):
+            V = Rinv @ blk.ops @ Rinv.T
             Vf = V.reshape(N, -1)
             Phi += Vf @ Vf.T
         K = np.zeros((N + p, N + p))
@@ -274,7 +259,7 @@ def solve(problem, options=None):
             """
             hterm = np.zeros(N)
             Fs = []
-            for (R, Rinv, sig), mt, E, t2 in zip(scalings, ws.matTs, Es, t2s):
+            for (R, Rinv, sig), mt, E, t2 in zip(scalings, ws.transposed, Es, t2s):
                 F = R @ E @ R.T + t2
                 Fs.append(F)
                 Winv_F_Winv = Rinv.T @ (Rinv @ F @ Rinv.T) @ Rinv

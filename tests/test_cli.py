@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import fixtures
+import tensorspectra
 from tensorspectra.cli import build_parser, emit_json, run
 from tensorspectra.driver import full_sweep
 from tensorspectra.tensor import serialize_tensor
@@ -123,6 +126,8 @@ def test_env_seed_override(ex51_file, capsys, monkeypatch):
     assert run(["zeig", ex51_file, "--json", "--seed", "4"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["config"]["seed"] == 11
+    assert doc["config"]["tol_eq"] == 1e-4
+    assert doc["config"]["tol_dedup"] == 1e-6
 
 
 def test_both_mode_runs_two_sweeps(ex13_file, capsys):
@@ -148,10 +153,14 @@ def test_parser_rejects_unknown_mode():
         build_parser().parse_args(["frobnicate", "x.tsr"])
 
 
-def test_both_parallel_matches_sequential(ex51_file, capsys):
-    assert run(["both", ex51_file, "--json"]) == 0
-    seq = capsys.readouterr().out
-    assert run(["both", ex51_file, "--json", "--parallel"]) == 0
-    par = capsys.readouterr().out
-    assert json.loads("[" + seq.replace("}\n{", "},\n{") + "]") == \
-        json.loads("[" + par.replace("}\n{", "},\n{") + "]")
+def test_python_m_entry_point(ex13_file):
+    src = os.path.dirname(os.path.dirname(tensorspectra.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tensorspectra", "zeig", ex13_file, "--json"],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["kind"] == "Z"
+    assert doc["termination"] == "certified-complete"

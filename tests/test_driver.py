@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from tensorspectra.driver import (EigenSystem, SweepOptions, Termination,
                                   h_system, next_eigenvalue, polish_eigenpair,
                                   smallest_eigenvalue, z_system)
 from tensorspectra.poly import Polynomial, tensor_to_poly
+from tensorspectra.sdpsolver import solve
 from tensorspectra.tensor import Tensor, identity_tensor
 
 
@@ -293,3 +297,19 @@ def test_sweep_matches_newton_enumeration_n3(kind, seed):
         assert min(abs(v - w) for w in spec.values) <= 1e-4
     for w in spec.values:
         assert min(abs(w - v) for v in newton) <= 1e-4
+
+
+def test_relaxation_blocks_released_after_sweep():
+    # nothing of a swept tensor may outlive its sweep in a long-lived process
+    refs = []
+
+    def spy(problem, options):
+        refs.extend(weakref.ref(blk) for blk in problem.blocks)
+        return solve(problem, options)
+
+    A = Tensor(np.random.default_rng(7).standard_normal((2, 2, 2, 2)))
+    spec = full_sweep("Z", A, SweepOptions(solver=spy))
+    assert spec.counters["sdp_solves"] > 0
+    gc.collect()
+    alive = sum(ref() is not None for ref in refs)
+    assert refs and alive == 0, f"{alive} of {len(refs)} blocks still alive"

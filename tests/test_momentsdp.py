@@ -8,7 +8,8 @@ from tensorspectra.momentsdp import (MomentVector, assemble_matrix,
                                      build_min_relaxation,
                                      localizing_structure, moment_structure,
                                      moment_vector_of_point)
-from tensorspectra.poly import Polynomial, basis_size, monomials_upto
+from tensorspectra.poly import (Polynomial, basis_size, moment_index_table,
+                                monomials_upto)
 from tensorspectra.sdpsolver import SolveStatus, solve
 
 
@@ -55,6 +56,15 @@ def test_moment_matrix_structure_matches_displayed_6x6():
         for j in range(6):
             alpha = tuple(a + b for a, b in zip(monos[i], monos[j]))
             assert _cell_pattern(s, i, j) == {alpha: 1.0}
+
+
+def test_moment_index_table_matches_moment_structure():
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3):
+        for t in range(5):
+            y = rng.normal(size=basis_size(n, 2 * t))
+            want = assemble_matrix(moment_structure(n, t), y)
+            assert np.array_equal(y[moment_index_table(n, t)], want)
 
 
 def test_moment_matrix_of_point_is_rank_one():
