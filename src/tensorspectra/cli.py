@@ -2,8 +2,9 @@
 
 Exit codes: 0 for any completed sweep (including a certified empty
 spectrum), 2 for parse or configuration errors, 3 when a sweep ends
-without a completeness certificate (budget exhausted or a continuum is
-suspected); partial results are still printed.
+without a completeness certificate (budget exhausted, a continuum is
+suspected or a consistency check failed); partial results are still
+printed.
 """
 
 from __future__ import annotations
@@ -211,3 +212,7 @@ def run(argv=None):
 
 def main():
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -37,6 +37,7 @@ class Termination(Enum):
     CERTIFIED_COMPLETE = "certified-complete"
     CONTINUUM_SUSPECTED = "continuum-suspected"
     BUDGET = "budget"
+    INCONSISTENT = "inconsistent"
 
 
 @dataclass
@@ -309,8 +310,10 @@ class _Driver:
         sol = self.opts.solve(problem)
         self.sdp_solves += 1
         self.ipm_iterations += sol.iterations
-        entry = {"phase": phase, "k": k, "status": sol.status.value,
-                 "iterations": sol.iterations}
+        entry = {"phase": phase, "k": k, "N": problem.num_vars,
+                 "p": problem.eq_rows.shape[0],
+                 "sides": [blk.side for blk in problem.blocks],
+                 "status": sol.status.value, "iterations": sol.iterations}
         if sol.objective is not None:
             entry["value"] = float(sol.objective)
         if delta is not None:
@@ -603,14 +606,17 @@ def full_sweep(kind, A, opts=None):
                        note="isolation inconclusive for some eigenpair; "
                             "completeness not certified")
 
+    # consistency checks end the sweep uncertified, keeping what it found
     if system.kind is Kind.H and len(pairs) > h_count_bound(system.m, system.n):
-        raise RuntimeError(
-            f"found {len(pairs)} H-eigenvalues, more than the bound "
-            f"{h_count_bound(system.m, system.n)}; numerical inconsistency")
+        termination = Termination.INCONSISTENT
+        driver._record(phase="sweep",
+                       note=f"found {len(pairs)} H-eigenvalues, more than the bound "
+                            f"{h_count_bound(system.m, system.n)}; numerical inconsistency")
 
     values = [p.value for p in pairs]
     if any(b - a <= opts.eps_dedup for a, b in zip(values, values[1:])):
-        raise RuntimeError("sweep produced non-increasing eigenvalues")
+        termination = Termination.INCONSISTENT
+        driver._record(phase="sweep", note="sweep produced non-increasing eigenvalues")
 
     counters = {"sdp_solves": driver.sdp_solves,
                 "ipm_iterations": driver.ipm_iterations}

@@ -15,7 +15,6 @@ L_ineq(y) positive semidefinite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -74,11 +73,6 @@ class LocalizingStructure:
     side: int
     num_moments: int
     matrix: scipy.sparse.csr_matrix = field(repr=False)
-
-    @cached_property
-    def ops(self):
-        """Dense (num_moments, side, side) form of ``matrix``, built on first use."""
-        return self.matrix.toarray().T.reshape(self.num_moments, self.side, self.side)
 
 
 def localizing_structure(q, k):

@@ -15,8 +15,18 @@ with y free, via a homogeneous self-dual embedding: variables
 with S_j, Z_j PSD and tau, kappa >= 0.  Any exact solution has
 sum_j <S_j, Z_j> + tau*kappa = 0, so either tau > 0 (scaled optimum) or
 kappa > 0 (infeasibility ray).  Search directions use Nesterov-Todd
-scaling with a Mehrotra predictor-corrector; the condensed saddle system
-in (dy, dmu) is factorized densely with static regularization.
+scaling with a Mehrotra predictor-corrector.
+
+Each solve factors the equality rows once.  The rows that touch no moment
+of the top degree 2k are eliminated exactly: a QR factorization of their
+transpose gives an orthonormal basis B of their null space, every step in
+y is a fixed particular solution plus B z, and the Schur matrix is
+assembled for z only, from each block's operator projected onto B.  The
+remaining rows, those that pin top-degree moments, stay as constraints
+with their multipliers.  The reduced system in (z, dmu of those rows) is
+LU-factorized densely with static regularization on its diagonal, and
+the multipliers of the eliminated rows are recovered through the
+triangular QR factor.
 
 Primal infeasibility is certified, never guessed: a returned dual ray
 (mu, Z_j) satisfies G^T mu + sum_j adj_j(Z_j) = 0, Z_j PSD, b.mu > 0,
@@ -30,6 +40,8 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
+
+from .poly import basis_size
 
 
 class SolveStatus(Enum):
@@ -147,6 +159,28 @@ def solve(problem, options=None):
                              metrics={"iterations": 0, "reason": "inconsistent-equalities"})
 
     N, p = ws.N, ws.p
+    # Equality rows that touch no moment of the top degree 2k are eliminated
+    # exactly: with G_h^T = [Q_h B] [R_h; 0], every step is dy = y_p + B z
+    # where G_h y_p is fixed.  The rows that do touch one stay as constraints
+    # whose multipliers carry static_reg; at a rank-deficient optimum they
+    # pin the moments the relaxation leaves free, and eliminating them too
+    # stalls the iteration on ill-posed relaxations (ex55 H, k = 5).
+    soft = np.any(ws.G[:, basis_size(problem.n, 2 * problem.k - 1):] != 0, axis=1)
+    hard = ~soft
+    G_s = ws.G[soft]
+    ph = p - G_s.shape[0]
+    Q, R_h = scipy.linalg.qr(ws.G[hard].T)
+    B = Q[:, ph:]
+    m = N - ph
+    pinv_t = scipy.linalg.solve_triangular(R_h[:ph], Q[:, :ph].T)   # (G_h^+)^T
+    GsB = G_s @ B
+    y0 = pinv_t.T @ ws.b[hard]                                      # G_h y0 = b_h
+    b_s = ws.b[soft]
+    b_dmu_s = b_s - G_s @ y0     # b.dmu = y0.(q1 + Phi dy) + b_dmu_s.dmu_s
+    mats0 = ws.apply(y0)
+    # contiguous, so that the batched products below run as BLAS calls
+    reduced_ops = [np.ascontiguousarray((blk.matrix @ B).T).reshape(m, q, q)
+                   for blk, q in zip(ws.blocks, ws.sides)]
     y = np.zeros(N)
     mu = np.zeros(p)
     S = [np.eye(q) for q in ws.sides]
@@ -218,44 +252,72 @@ def solve(problem, options=None):
                 return ConicSolution(status=SolveStatus.DUAL_INFEASIBLE,
                                      certificate={"ray": ray}, metrics=metrics)
 
-        # Nesterov-Todd scalings and the condensed saddle matrix
+        # Nesterov-Todd scalings and the reduced system
+        #   K = [[B^T Phi B, -(G_s B)^T], [G_s B, 0]] + static_reg I,
+        # where Phi v = sum_j adj_j(W_j^-1 mat_j(v) W_j^-1), W_j^-1 = Rinv^T Rinv
         try:
             scalings = [_nt_scaling(Sj, Zj) for Sj, Zj in zip(S, Z)]
         except np.linalg.LinAlgError:
             break
-        Phi = np.zeros((N, N))
-        for (R, Rinv, sig), blk in zip(scalings, ws.blocks):
-            V = Rinv @ blk.ops @ Rinv.T
-            Vf = V.reshape(N, -1)
-            Phi += Vf @ Vf.T
-        K = np.zeros((N + p, N + p))
-        K[:N, :N] = -Phi
-        K[:N, N:] = ws.G.T
-        K[N:, :N] = ws.G
-        Kreg = K.copy()
-        idx = np.arange(N + p)
-        Kreg[idx[:N], idx[:N]] -= opts.static_reg
-        Kreg[idx[N:], idx[N:]] += opts.static_reg
-        try:
-            lu = scipy.linalg.lu_factor(Kreg, check_finite=False)
-        except (scipy.linalg.LinAlgError, ValueError):
+        # row l of Vs[j] is vec(Rinv mat_j(B e_l) Rinv^T): B^T Phi B = sum Vs[j] Vs[j]^T
+        Vs = [(Rinv @ ops @ Rinv.T).reshape(m, q * q)
+              for (R, Rinv, sig), ops, q in zip(scalings, reduced_ops, ws.sides)]
+        K = np.zeros((m + p - ph, m + p - ph))
+        for V in Vs:
+            K[:m, :m] += V @ V.T
+        K[:m, m:] = -GsB.T
+        K[m:, :m] = GsB
+        K.flat[::K.shape[0] + 1] += opts.static_reg
+        lu, piv, info = scipy.linalg.lapack.dgetrf(K)
+        if info != 0:        # an exactly zero pivot: treat as a failed factorization
             break
 
-        def saddle_solve(q1, q2):
-            rhs = np.concatenate([q1, q2])
-            u = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-            u += scipy.linalg.lu_solve(lu, rhs - K @ u, check_finite=False)
-            return u[:N], u[N:]
+        def scaled(mats):
+            """Rinv mat_j(v) Rinv^T for each block, given mat_j(v)."""
+            return [Rinv @ M @ Rinv.T for (R, Rinv, sig), M in zip(scalings, mats)]
 
-        dy_t, dmu_t = saddle_solve(ws.c, ws.b)
-        denom = ws.c @ dy_t - ws.b @ dmu_t - kappa / tau
+        def as_part(y_p, Xp, t1_s):
+            """The particular step y_p as null_step takes it: with B^T Phi y_p
+            and y0^T Phi y_p, both from its scaled block matrices Xp."""
+            return (y_p, sum(V @ X.ravel() for V, X in zip(Vs, Xp)),
+                    sum(np.vdot(a, b) for a, b in zip(X0, Xp)), t1_s)
 
-        def directions(t1, t2s, t3, t4, Es, t6):
+        def particular(t1):
+            """The minimum-norm y_p with G_h y_p = t1_h, reduced, with t1_s."""
+            y_p = pinv_t.T @ t1[hard]
+            return as_part(y_p, scaled(ws.apply(y_p)), t1[soft])
+
+        def null_step(q1, part):
+            """dy = y_p + B z, dmu_s and b.dmu from the reduced system.
+
+            B^T (Phi dy - G_s^T dmu_s) = -B^T q1 and G_s dy = t1_s, each row
+            regularized as in K; one refinement step takes out static_reg.
+            Then G_h^T dmu_h = q1 + Phi dy - G_s^T dmu_s, and as G_h y0 = b_h,
+            b_h.dmu_h = y0.(q1 + Phi dy - G_s^T dmu_s).
+            """
+            y_p, phi_p, y0_phi_p, t1_s = part
+            rhs = np.concatenate([-(B.T @ q1) - phi_p, t1_s - G_s @ y_p])
+            u = scipy.linalg.lapack.dgetrs(lu, piv, rhs)[0]
+            u += scipy.linalg.lapack.dgetrs(lu, piv, rhs - K @ u + opts.static_reg * u)[0]
+            z, dmu_s = u[:m], u[m:]
+            b_dmu = y0 @ q1 + y0_phi_p + phi0 @ z + b_dmu_s @ dmu_s
+            return y_p + B @ z, dmu_s, b_dmu
+
+        # the tau direction: targets c and b in place of q1 and t1
+        X0 = scaled(mats0)
+        part0 = as_part(y0, X0, b_s)
+        phi0 = part0[1]
+        dy_t, dmu_s_t, b_dmu_t = null_step(ws.c, part0)
+        denom = ws.c @ dy_t - b_dmu_t - kappa / tau
+
+        def directions(part, t2s, t3, t4, Es, t6, with_mu=True):
             """Solve the linearized step equations for general targets.
 
             G dy - b dtau = t1;  mat_j(dy) - dS_j = t2_j;
             G^T dmu + adj(dZ) - c dtau = t3;  c.dy - b.dmu + dkappa = t4;
-            Rinv dS Rinv^T + R^T dZ R = E_j;  kappa dtau + tau dkappa = t6.
+            Rinv dS Rinv^T + R^T dZ R = E_j;  kappa dtau + tau dkappa = t6,
+            where ``part`` is :func:`particular` of t1.  Without ``with_mu``,
+            dmu is left as None.
             """
             hterm = np.zeros(N)
             Fs = []
@@ -264,10 +326,10 @@ def solve(problem, options=None):
                 Fs.append(F)
                 Winv_F_Winv = Rinv.T @ (Rinv @ F @ Rinv.T) @ Rinv
                 hterm += mt @ Winv_F_Winv.ravel()
-            dy_c, dmu_c = saddle_solve(t3 - hterm, t1)
-            dtau = (t4 - ws.c @ dy_c + ws.b @ dmu_c - t6 / tau) / denom
+            q1 = t3 - hterm
+            dy_c, dmu_s_c, b_dmu_c = null_step(q1, part)
+            dtau = (t4 - ws.c @ dy_c + b_dmu_c - t6 / tau) / denom
             dy = dy_c + dtau * dy_t
-            dmu = dmu_c + dtau * dmu_t
             dkappa = (t6 - kappa * dtau) / tau
             mats_dy = ws.apply(dy)
             dS, dZ = [], []
@@ -277,6 +339,13 @@ def solve(problem, options=None):
                 dZ.append((dZj + dZj.T) / 2.0)
                 dSj = Mdy - t2
                 dS.append((dSj + dSj.T) / 2.0)
+            dmu = None
+            if with_mu:
+                dmu = np.empty(p)
+                dmu[soft] = dmu_s_c + dtau * dmu_s_t
+                phi_dy = ws.adjoint([Rinv.T @ X @ Rinv for (R, Rinv, sig), X
+                                     in zip(scalings, scaled(mats_dy))])
+                dmu[hard] = pinv_t @ (q1 + dtau * ws.c + phi_dy - G_s.T @ dmu[soft])
             return [dy, dmu, dS, dZ, dtau, dkappa]
 
         def refine(dirs, t1, t2s, t3, t4, Es, t6):
@@ -292,7 +361,7 @@ def solve(problem, options=None):
                 got = Rinv @ dSj @ Rinv.T + R.T @ dZj @ R
                 eEs.append(E - got)
             e6 = t6 - (kappa * dtau + tau * dkappa)
-            corr = directions(e1, e2s, e3, e4, eEs, e6)
+            corr = directions(particular(e1), e2s, e3, e4, eEs, e6)
             return [
                 dy + corr[0], dmu + corr[1],
                 [a + b for a, b in zip(dS, corr[2])],
@@ -315,9 +384,11 @@ def solve(problem, options=None):
         t1, t3, t4 = -rp, -rd, -rg
         t2s = [-Rhj for Rhj in Rh]
 
+        part = particular(t1)
+
         # predictor
         E_aff = [np.diag(-sig) for (_R, _Ri, sig) in scalings]
-        aff = directions(t1, t2s, t3, t4, E_aff, -tau * kappa)
+        aff = directions(part, t2s, t3, t4, E_aff, -tau * kappa, with_mu=False)
         a_aff = min(1.0, max_step(aff[2], aff[3], aff[4], aff[5]))
         gap_aff = sum(np.sum((Sj + a_aff * dSj) * (Zj + a_aff * dZj))
                       for Sj, dSj, Zj, dZj in zip(S, aff[2], Z, aff[3]))
@@ -333,7 +404,7 @@ def solve(problem, options=None):
                 - (Ds @ Dz + Dz @ Ds) / 2.0
             Es.append(2.0 * D / np.add.outer(sig, sig))
         d_tk = sigma * nu - tau * kappa - aff[4] * aff[5]
-        dirs = directions(t1, t2s, t3, t4, Es, d_tk)
+        dirs = directions(part, t2s, t3, t4, Es, d_tk)
         if merit < 1e-3 or nu < 1e-4:
             # cancellation in direction recovery only matters near the end
             dirs = refine(dirs, t1, t2s, t3, t4, Es, d_tk)

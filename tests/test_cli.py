@@ -130,6 +130,12 @@ def test_env_seed_override(ex51_file, capsys, monkeypatch):
     assert doc["config"]["tol_dedup"] == 1e-6
 
 
+def test_inconsistent_sweep_exit3(ex51_file, capsys, monkeypatch):
+    monkeypatch.setattr("tensorspectra.driver.h_count_bound", lambda m, n: 0)
+    assert run(["heig", ex51_file]) == 3
+    assert "termination: inconsistent" in capsys.readouterr().out
+
+
 def test_both_mode_runs_two_sweeps(ex13_file, capsys):
     assert run(["both", ex13_file]) == 0
     out = capsys.readouterr().out
@@ -153,11 +159,12 @@ def test_parser_rejects_unknown_mode():
         build_parser().parse_args(["frobnicate", "x.tsr"])
 
 
-def test_python_m_entry_point(ex13_file):
+@pytest.mark.parametrize("module", ["tensorspectra", "tensorspectra.cli"])
+def test_python_m_entry_point(ex13_file, module):
     src = os.path.dirname(os.path.dirname(tensorspectra.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "tensorspectra", "zeig", ex13_file, "--json"],
+        [sys.executable, "-m", module, "zeig", ex13_file, "--json"],
         capture_output=True, text=True, timeout=300,
         env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr

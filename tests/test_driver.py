@@ -185,6 +185,23 @@ def test_full_sweep_h_count_bound():
     assert len(spec.values) <= h_count_bound(A.order, A.dim)
 
 
+def test_h_count_bound_violation_ends_inconsistent(monkeypatch):
+    monkeypatch.setattr("tensorspectra.driver.h_count_bound", lambda m, n: 0)
+    spec = full_sweep("H", fixtures.ex51())
+    assert spec.termination == Termination.INCONSISTENT
+    assert spec.values == pytest.approx([23.0, 25.1, 49.2687], abs=5e-4)
+    assert any("more than the bound" in e.get("note", "") for e in spec.log)
+
+
+def test_solve_records_carry_relaxation_sizes():
+    spec = full_sweep("Z", fixtures.ex51())
+    solves = [e for e in spec.log if "status" in e]
+    assert len(solves) == spec.counters["sdp_solves"]
+    for e in solves:
+        assert e["N"] - e["p"] >= 0
+        assert e["sides"] and all(q >= 1 for q in e["sides"])
+
+
 def test_full_sweep_odd_order_sign_symmetry():
     A = fixtures.random_tensor(3, 2, seed=905)
     spec = full_sweep("Z", A)

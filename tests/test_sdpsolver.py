@@ -2,15 +2,18 @@ import copy
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import fixtures
-from tensorspectra.driver import h_system, z_system
-from tensorspectra.momentsdp import (build_min_relaxation,
+from tensorspectra.driver import Termination, full_sweep, h_system, z_system
+from tensorspectra.momentsdp import (ConicProblem, LocalizingStructure,
+                                     build_min_relaxation, moment_structure,
                                      moment_vector_of_point)
 from tensorspectra.oracle import brute_z_n2
 from tensorspectra.poly import Polynomial
 from tensorspectra.sdpsolver import (SolveStatus, SolverOptions, solve,
                                      verify_solution)
+from tensorspectra.tensor import Tensor
 
 
 def _toy_min():
@@ -135,3 +138,38 @@ def test_solution_metrics_present():
     sol = solve(_toy_min())
     for key in ("primal_residual", "dual_residual", "gap", "tau", "kappa"):
         assert key in sol.metrics
+
+
+def test_equalities_pin_every_moment():
+    # N - p = 0: no moment is left free by the equality rows
+    prob = ConicProblem(n=1, k=1, c=np.array([0.0, 0.0, 1.0]), eq_rows=np.eye(3),
+                        eq_rhs=np.array([1.0, 0.5, 1.0]), blocks=[moment_structure(1, 1)])
+    sol = solve(prob)
+    assert sol.status == SolveStatus.OPTIMAL
+    assert sol.objective == pytest.approx(1.0, abs=1e-7)
+    assert verify_solution(prob, sol)["ok"]
+
+
+def test_moment_in_no_block():
+    # y2 is free of the equalities and of the only block, so the reduced
+    # Schur matrix is singular up to static_reg
+    block = LocalizingStructure(q=Polynomial.constant(1, 1.0), k=1, n=1, side=1,
+                                num_moments=3,
+                                matrix=scipy.sparse.csr_matrix([[0.0, 1.0, 0.0]]))
+    prob = ConicProblem(n=1, k=1, c=np.array([0.0, 1.0, 0.0]),
+                        eq_rows=np.array([[1.0, 0.0, 0.0]]), eq_rhs=np.array([1.0]),
+                        blocks=[block])
+    sol = solve(prob)
+    assert sol.status == SolveStatus.OPTIMAL
+    assert sol.objective == pytest.approx(0.0, abs=1e-7)
+    assert verify_solution(prob, sol)["ok"]
+
+
+@pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
+def test_sweep_without_singular_factorization_warning():
+    # a reduced matrix of this sweep once had an exactly zero pivot
+    A = Tensor(np.random.default_rng((2015, 17)).standard_normal((2, 2, 2, 2)))
+    spec = full_sweep("Z", A)
+    assert spec.termination == Termination.CERTIFIED_COMPLETE
+    want = sorted(value for value, _vectors in brute_z_n2(A).eigenpairs)
+    assert spec.values == pytest.approx(want, abs=1e-5)
