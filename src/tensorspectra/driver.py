@@ -5,9 +5,13 @@ of moment relaxations: an infeasible relaxation certifies that no (further)
 eigenvalue exists; an optimal one with a flat moment vector yields the
 eigenvalue and its eigenvectors by atom extraction.  Between eigenvalues,
 a backward maximization confirms that nothing hides inside the step gap
-delta, shrinking delta until it does.  Persistent failure of that check is
-the signature of a continuum of eigenvalues, reported as such rather than
-as a certified complete spectrum.
+delta.  When the check fails by extracting a verified eigenvalue nu inside
+the gap, the next gap is placed below nu: delta becomes the smaller of
+the usual shrink and half the distance to nu, and the next check starts
+at the order that saw nu.  Any other failure just shrinks delta.
+Persistent failure of that check is the signature of a continuum of
+eigenvalues, reported as such rather than as a certified complete
+spectrum.
 """
 
 from __future__ import annotations
@@ -381,8 +385,10 @@ class _Driver:
         collapses onto lam_i (sound on its own: the relaxation value always
         bounds the largest eigenvalue below the cap from above), or a flat
         moment vector extracts verified eigenpairs whose largest eigenvalue
-        is lam_i and whose value agrees with the relaxation optimum.
-        Returns (passed, best upper bound or None).
+        is lam_i and whose value agrees with the relaxation optimum to
+        within the same threshold.
+        Returns (passed, nu, atoms): nu is the best upper bound or None, or,
+        with atoms, the largest verified eigenvalue at or below the cap.
         """
         sys_, opts = self.system, self.opts
         thresh = min(opts.eps_eq, 0.5 * delta)
@@ -413,7 +419,7 @@ class _Driver:
                 best = bound
             if bound <= lam_i + thresh:
                 self._warm["max"] = max(self.system.k0, k - 1)
-                return True, bound
+                return True, bound, False
             # flat + verified atoms pin the true maximum below the bound
             y = MomentVector(prob.n, k, sol.y)
             wtol = 1e-4 if sol.status == SolveStatus.OPTIMAL else 1e-3
@@ -436,15 +442,16 @@ class _Driver:
             if nu_atoms is None:
                 continue
             self._record(phase="backward-max", k=k, nu_atoms=float(nu_atoms))
+            if abs(nu_atoms - lam_i) <= thresh and sol.objective - nu_atoms <= thresh:
+                self._warm["max"] = max(self.system.k0, k - 1)
+                return True, float(nu_atoms), True
             consistent = sol.objective - nu_atoms <= 1e-3 * (1.0 + abs(nu_atoms))
-            if consistent and abs(nu_atoms - lam_i) <= thresh:
-                self._warm["max"] = max(self.system.k0, k - 1)
-                return True, float(nu_atoms)
             if consistent and nu_atoms > lam_i + thresh:
-                # a genuine eigenvalue sits inside the gap; delta must shrink
-                self._warm["max"] = max(self.system.k0, k - 1)
-                return False, float(nu_atoms)
-        return False, best
+                # a genuine eigenvalue sits inside the gap; the next gap ends
+                # below it, and this order already sees it
+                self._warm["max"] = k
+                return False, float(nu_atoms), True
+        return False, best, False
 
     def _accept_atoms(self, points, k, ineqs, sdp_value):
         """Polish extracted points into verified eigenpairs at one value.
@@ -514,13 +521,17 @@ class _Driver:
         opts = self.opts
         delta = opts.delta0
         while True:
-            passed, nu = self._backward_check(lam_i, delta)
+            passed, nu, atoms = self._backward_check(lam_i, delta)
             self._record(phase="backward-check", delta=float(delta),
                          nu=None if nu is None else float(nu),
-                         lam=float(lam_i), passed=passed)
+                         lam=float(lam_i), passed=passed, atoms=atoms)
             if passed:
                 break
-            delta /= opts.delta_shrink
+            if atoms:
+                # for a continuum nu sits at the cap and the shrink decides
+                delta = min(delta / opts.delta_shrink, (nu - lam_i) / 2.0)
+            else:
+                delta /= opts.delta_shrink
             if delta < opts.delta_min:
                 return StepResult(outcome="non-isolated", delta_used=delta,
                                   reason="delta exhausted with eigenvalues still "

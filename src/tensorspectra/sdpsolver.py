@@ -26,7 +26,9 @@ remaining rows, those that pin top-degree moments, stay as constraints
 with their multipliers.  The reduced system in (z, dmu of those rows) is
 LU-factorized densely with static regularization on its diagonal, and
 the multipliers of the eliminated rows are recovered through the
-triangular QR factor.
+triangular QR factor.  Step lengths come from the NT-scaled directions
+Rinv dS Rinv^T and R^T dZ R, which the step equations already form: one
+symmetric eigenvalue call per block, with no factorization of S or Z.
 
 Primal infeasibility is certified, never guessed: a returned dual ray
 (mu, Z_j) satisfies G^T mu + sum_j adj_j(Z_j) = 0, Z_j PSD, b.mu > 0,
@@ -79,18 +81,8 @@ class ConicSolution:
         return self.metrics.get("iterations", 0)
 
 
-def _min_eig_step(M, dM):
-    """Largest a with M + a*dM still PSD, for M positive definite."""
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        return 0.0
-    Linv = np.linalg.inv(L)
-    W = Linv @ dM @ Linv.T
-    lam = np.linalg.eigvalsh((W + W.T) / 2.0)[0]
-    if lam >= 0.0:
-        return np.inf
-    return 1.0 / (-lam)
+# entries of the temporary that scales a batch of operators (2 MB)
+_BATCH = 1 << 18
 
 
 def _nt_scaling(S, Z):
@@ -106,6 +98,20 @@ def _nt_scaling(S, Z):
     R = Ls @ Vt.T * (sig ** -0.5)
     Rinv = (sig[:, None] ** -0.5) * (U.T @ Lz.T)
     return R, Rinv, sig
+
+
+def _scaled_step(sig, Ds, Dz):
+    """Largest a with S + a dS and Z + a dZ both still PSD.
+
+    With NT factors of (S, Z), R^-1 (S + a dS) R^-T = diag(sig) + a Ds and
+    R^T (Z + a dZ) R = diag(sig) + a Dz, so the step follows from the
+    eigenvalues of diag(sig)^-1/2 [Ds, Dz] diag(sig)^-1/2.
+    """
+    h = sig ** -0.5
+    lam = np.linalg.eigvalsh(np.stack([Ds, Dz]) * np.outer(h, h))[:, 0].min()
+    if lam >= 0.0:
+        return np.inf
+    return 1.0 / (-lam)
 
 
 class _Workspace:
@@ -181,6 +187,10 @@ def solve(problem, options=None):
     # contiguous, so that the batched products below run as BLAS calls
     reduced_ops = [np.ascontiguousarray((blk.matrix @ B).T).reshape(m, q, q)
                    for blk, q in zip(ws.blocks, ws.sides)]
+    # the scaled operators, rewritten in place every iteration: a fresh list
+    # would coexist with the last one and hold twice their memory
+    scaled_ops = [np.empty_like(ops) for ops in reduced_ops]
+    Vs = [V.reshape(m, q * q) for V, q in zip(scaled_ops, ws.sides)]
     y = np.zeros(N)
     mu = np.zeros(p)
     S = [np.eye(q) for q in ws.sides]
@@ -260,8 +270,10 @@ def solve(problem, options=None):
         except np.linalg.LinAlgError:
             break
         # row l of Vs[j] is vec(Rinv mat_j(B e_l) Rinv^T): B^T Phi B = sum Vs[j] Vs[j]^T
-        Vs = [(Rinv @ ops @ Rinv.T).reshape(m, q * q)
-              for (R, Rinv, sig), ops, q in zip(scalings, reduced_ops, ws.sides)]
+        for (R, Rinv, sig), ops, out, q in zip(scalings, reduced_ops, scaled_ops, ws.sides):
+            step = max(1, _BATCH // (q * q))
+            for lo in range(0, m, step):
+                np.matmul(Rinv @ ops[lo:lo + step], Rinv.T, out=out[lo:lo + step])
         K = np.zeros((m + p - ph, m + p - ph))
         for V in Vs:
             K[:m, :m] += V @ V.T
@@ -317,7 +329,8 @@ def solve(problem, options=None):
             G^T dmu + adj(dZ) - c dtau = t3;  c.dy - b.dmu + dkappa = t4;
             Rinv dS Rinv^T + R^T dZ R = E_j;  kappa dtau + tau dkappa = t6,
             where ``part`` is :func:`particular` of t1.  Without ``with_mu``,
-            dmu is left as None.
+            dmu is left as None.  Also returns the scaled directions
+            Ds = Rinv dS Rinv^T and Dz = R^T dZ R of each block.
             """
             hterm = np.zeros(N)
             Fs = []
@@ -332,10 +345,13 @@ def solve(problem, options=None):
             dy = dy_c + dtau * dy_t
             dkappa = (t6 - kappa * dtau) / tau
             mats_dy = ws.apply(dy)
-            dS, dZ = [], []
-            for (R, Rinv, sig), F, Mdy, t2 in zip(scalings, Fs, mats_dy, t2s):
-                X = F - Mdy
-                dZj = Rinv.T @ (Rinv @ X @ Rinv.T) @ Rinv
+            dS, dZ, Ds, Dz = [], [], [], []
+            for (R, Rinv, sig), F, Mdy, t2, E in zip(scalings, Fs, mats_dy, t2s, Es):
+                Dzj = Rinv @ (F - Mdy) @ Rinv.T
+                Dzj = (Dzj + Dzj.T) / 2.0
+                Dz.append(Dzj)
+                Ds.append(E - Dzj)
+                dZj = Rinv.T @ Dzj @ Rinv
                 dZ.append((dZj + dZj.T) / 2.0)
                 dSj = Mdy - t2
                 dS.append((dSj + dSj.T) / 2.0)
@@ -346,11 +362,11 @@ def solve(problem, options=None):
                 phi_dy = ws.adjoint([Rinv.T @ X @ Rinv for (R, Rinv, sig), X
                                      in zip(scalings, scaled(mats_dy))])
                 dmu[hard] = pinv_t @ (q1 + dtau * ws.c + phi_dy - G_s.T @ dmu[soft])
-            return [dy, dmu, dS, dZ, dtau, dkappa]
+            return [dy, dmu, dS, dZ, dtau, dkappa, Ds, Dz]
 
         def refine(dirs, t1, t2s, t3, t4, Es, t6):
             """One pass of iterative refinement on the full step equations."""
-            dy, dmu, dS, dZ, dtau, dkappa = dirs
+            dy, dmu, dS, dZ, dtau, dkappa, Ds, Dz = dirs
             e1 = t1 - (ws.G @ dy - ws.b * dtau)
             mats_dy = ws.apply(dy)
             e2s = [t2 - (Mdy - dSj) for t2, Mdy, dSj in zip(t2s, mats_dy, dS)]
@@ -367,14 +383,13 @@ def solve(problem, options=None):
                 [a + b for a, b in zip(dS, corr[2])],
                 [a + b for a, b in zip(dZ, corr[3])],
                 dtau + corr[4], dkappa + corr[5],
+                [a + b for a, b in zip(Ds, corr[6])],
+                [a + b for a, b in zip(Dz, corr[7])],
             ]
 
-        def max_step(dS, dZ, dtau, dkappa):
-            a = np.inf
-            for Sj, dSj in zip(S, dS):
-                a = min(a, _min_eig_step(Sj, dSj))
-            for Zj, dZj in zip(Z, dZ):
-                a = min(a, _min_eig_step(Zj, dZj))
+        def max_step(Ds, Dz, dtau, dkappa):
+            a = min((_scaled_step(sig, Dsj, Dzj) for (_R, _Ri, sig), Dsj, Dzj
+                     in zip(scalings, Ds, Dz)), default=np.inf)
             if dtau < 0.0:
                 a = min(a, tau / (-dtau))
             if dkappa < 0.0:
@@ -389,7 +404,7 @@ def solve(problem, options=None):
         # predictor
         E_aff = [np.diag(-sig) for (_R, _Ri, sig) in scalings]
         aff = directions(part, t2s, t3, t4, E_aff, -tau * kappa, with_mu=False)
-        a_aff = min(1.0, max_step(aff[2], aff[3], aff[4], aff[5]))
+        a_aff = min(1.0, max_step(aff[6], aff[7], aff[4], aff[5]))
         gap_aff = sum(np.sum((Sj + a_aff * dSj) * (Zj + a_aff * dZj))
                       for Sj, dSj, Zj, dZj in zip(S, aff[2], Z, aff[3]))
         gap_aff += (tau + a_aff * aff[4]) * (kappa + a_aff * aff[5])
@@ -397,20 +412,18 @@ def solve(problem, options=None):
 
         # corrector
         Es = []
-        for (R, Rinv, sig), dSj, dZj in zip(scalings, aff[2], aff[3]):
-            Ds = Rinv @ dSj @ Rinv.T
-            Dz = R.T @ dZj @ R
+        for (R, Rinv, sig), Dsj, Dzj in zip(scalings, aff[6], aff[7]):
             D = sigma * nu * np.eye(len(sig)) - np.diag(sig ** 2) \
-                - (Ds @ Dz + Dz @ Ds) / 2.0
+                - (Dsj @ Dzj + Dzj @ Dsj) / 2.0
             Es.append(2.0 * D / np.add.outer(sig, sig))
         d_tk = sigma * nu - tau * kappa - aff[4] * aff[5]
         dirs = directions(part, t2s, t3, t4, Es, d_tk)
         if merit < 1e-3 or nu < 1e-4:
             # cancellation in direction recovery only matters near the end
             dirs = refine(dirs, t1, t2s, t3, t4, Es, d_tk)
-        dy, dmu, dS, dZ, dtau, dkappa = dirs
+        dy, dmu, dS, dZ, dtau, dkappa, Ds, Dz = dirs
 
-        alpha = opts.step_frac * max_step(dS, dZ, dtau, dkappa)
+        alpha = opts.step_frac * max_step(Ds, Dz, dtau, dkappa)
         alpha = min(alpha, 1.0)
         if not np.isfinite(alpha) or alpha <= 0.0:
             break

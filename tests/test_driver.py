@@ -165,6 +165,33 @@ def test_next_eigenvalue_continuum_ex14():
     assert out.outcome == "non-isolated"
 
 
+def test_gap_placed_below_eigenvalue_the_backward_check_found():
+    # ex56 Z: the check after the first value extracts the second one, at
+    # 2.06e-4; shrinking delta by 5 alone re-found it four times (21 solves)
+    spec = full_sweep("Z", fixtures.ex56())
+    assert spec.termination == Termination.CERTIFIED_COMPLETE
+    assert spec.values == pytest.approx(
+        [1.7070120288207452e-08, 0.0002062420871917647, 0.4571724209083913], abs=1e-8)
+    assert spec.counters["sdp_solves"] <= 14
+    checks = [e for e in spec.log if e.get("phase") == "backward-check"]
+    assert all(isinstance(e["atoms"], bool) for e in checks)
+    for e, after in zip(checks, checks[1:]):
+        if not e["passed"] and e["atoms"]:
+            assert after["lam"] == e["lam"]
+            assert after["delta"] < e["nu"] - e["lam"]
+
+
+def test_continuum_checks_never_pass_on_atoms_below_the_optimum():
+    # ex14 Z fills [0, 1]: atoms at lam_i with the relaxation optimum at the
+    # cap are no proof that the gap is empty
+    spec = full_sweep("Z", fixtures.ex14())
+    assert spec.termination == Termination.CONTINUUM_SUSPECTED
+    first = spec.values[0]
+    checks = [e for e in spec.log if e.get("phase") == "backward-check"]
+    assert checks
+    assert not any(e["passed"] for e in checks if e["lam"] >= first)
+
+
 def test_full_sweep_ex51_z():
     spec = full_sweep("Z", fixtures.ex51())
     assert spec.termination == Termination.CERTIFIED_COMPLETE

@@ -11,8 +11,8 @@ from tensorspectra.momentsdp import (ConicProblem, LocalizingStructure,
                                      moment_vector_of_point)
 from tensorspectra.oracle import brute_z_n2
 from tensorspectra.poly import Polynomial
-from tensorspectra.sdpsolver import (SolveStatus, SolverOptions, solve,
-                                     verify_solution)
+from tensorspectra.sdpsolver import (SolveStatus, SolverOptions, _nt_scaling,
+                                     _scaled_step, solve, verify_solution)
 from tensorspectra.tensor import Tensor
 
 
@@ -163,6 +163,30 @@ def test_moment_in_no_block():
     assert sol.status == SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(0.0, abs=1e-7)
     assert verify_solution(prob, sol)["ok"]
+
+
+def _cholesky_step(M, dM):
+    """Reference: largest a with M + a*dM PSD, through a Cholesky of M."""
+    Linv = np.linalg.inv(np.linalg.cholesky(M))
+    W = Linv @ dM @ Linv.T
+    lam = np.linalg.eigvalsh((W + W.T) / 2.0)[0]
+    return np.inf if lam >= 0.0 else 1.0 / (-lam)
+
+
+@pytest.mark.parametrize("q", [1, 3, 8])
+def test_scaled_step_matches_cholesky_reference(q):
+    rng = np.random.default_rng(q)
+    for _ in range(20):
+        A, C = rng.standard_normal((2, q, q))
+        S = A @ A.T + 0.1 * np.eye(q)
+        Z = C @ C.T + 0.1 * np.eye(q)
+        dS, dZ = rng.standard_normal((2, q, q))
+        dS, dZ = dS + dS.T, dZ + dZ.T
+        R, Rinv, sig = _nt_scaling(S, Z)
+        Ds, Dz = Rinv @ dS @ Rinv.T, R.T @ dZ @ R
+        got = _scaled_step(sig, (Ds + Ds.T) / 2.0, (Dz + Dz.T) / 2.0)
+        want = min(_cholesky_step(S, dS), _cholesky_step(Z, dZ))
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
