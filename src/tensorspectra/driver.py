@@ -12,6 +12,12 @@ at the order that saw nu.  Any other failure just shrinks delta.
 Persistent failure of that check is the signature of a continuum of
 eigenvalues, reported as such rather than as a certified complete
 spectrum.
+
+Once the check passes at order k, the shifted minimization over the gap
+starts at order k or above: below it, that relaxation tends to return the
+gap's boundary value lam_i + delta and escalate anyway.  Backward checks
+keep their own start order, one below the last order that passed;
+starting them higher costs large relaxations on the H fixtures.
 """
 
 from __future__ import annotations
@@ -418,8 +424,7 @@ class _Driver:
             if best is None or bound < best:
                 best = bound
             if bound <= lam_i + thresh:
-                self._warm["max"] = max(self.system.k0, k - 1)
-                return True, bound, False
+                return self._passed(k, bound, False)
             # flat + verified atoms pin the true maximum below the bound
             y = MomentVector(prob.n, k, sol.y)
             wtol = 1e-4 if sol.status == SolveStatus.OPTIMAL else 1e-3
@@ -443,8 +448,7 @@ class _Driver:
                 continue
             self._record(phase="backward-max", k=k, nu_atoms=float(nu_atoms))
             if abs(nu_atoms - lam_i) <= thresh and sol.objective - nu_atoms <= thresh:
-                self._warm["max"] = max(self.system.k0, k - 1)
-                return True, float(nu_atoms), True
+                return self._passed(k, nu_atoms, True)
             consistent = sol.objective - nu_atoms <= 1e-3 * (1.0 + abs(nu_atoms))
             if consistent and nu_atoms > lam_i + thresh:
                 # a genuine eigenvalue sits inside the gap; the next gap ends
@@ -452,6 +456,16 @@ class _Driver:
                 self._warm["max"] = k
                 return False, float(nu_atoms), True
         return False, best, False
+
+    def _passed(self, k, nu, atoms):
+        """The result of a backward check that passed at order k.
+
+        The next check starts one order lower; the shifted minimization
+        over this gap starts no lower than k (see the module docstring).
+        """
+        self._warm["max"] = max(self.system.k0, k - 1)
+        self._warm["min"] = max(self._warm.get("min", self.system.k0), k)
+        return True, float(nu), atoms
 
     def _accept_atoms(self, points, k, ineqs, sdp_value):
         """Polish extracted points into verified eigenpairs at one value.

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .poly import Polynomial, basis_size, monomials_upto, rank_table
+from .poly import Polynomial, basis_size, monomials_upto
 
 EQ_RANK_TOL = 1e-10  # relative QR threshold for dropping dependent equality rows
 
@@ -83,23 +83,18 @@ def localizing_structure(q, k):
     n = q.n
     half = (dq + 1) // 2
     side = basis_size(n, k - half)
-    basis = monomials_upto(n, k - half)
-    table = rank_table(n, 2 * k)
     num_moments = basis_size(n, 2 * k)
-    rows, cols, data = [], [], []
-    for a in range(side):
-        for b in range(a, side):
-            cell = a * side + b
-            cell_t = b * side + a
-            for mono, c in q.terms.items():
-                idx = table[tuple(x + y + z for x, y, z in zip(mono, basis[a], basis[b]))]
-                rows.append(cell)
-                cols.append(idx)
-                data.append(c)
-                if cell_t != cell:
-                    rows.append(cell_t)
-                    cols.append(idx)
-                    data.append(c)
+    # rank of every exponent tuple of degree <= 2k, looked up densely
+    lookup = np.zeros((2 * k + 1,) * n, dtype=np.intp)
+    lookup[tuple(np.array(monomials_upto(n, 2 * k)).T)] = np.arange(num_moments)
+    basis = np.array(monomials_upto(n, k - half))
+    monos = np.array(list(q.terms), dtype=np.intp).reshape(-1, n)
+    # cell (a, b), term t: the moment of basis[a] + basis[b] + mono_t, with the
+    # terms of each cell in q's order
+    exps = basis[:, None, None, :] + basis[None, :, None, :] + monos
+    cols = lookup[tuple(np.moveaxis(exps, -1, 0))].ravel()
+    rows = np.repeat(np.arange(side * side), len(monos))
+    data = np.tile(np.array(list(q.terms.values()), dtype=float), side * side)
     mat = scipy.sparse.csr_matrix(
         (data, (rows, cols)), shape=(side * side, num_moments))
     return LocalizingStructure(q=q, k=k, n=n, side=side,

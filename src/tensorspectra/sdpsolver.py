@@ -28,7 +28,17 @@ LU-factorized densely with static regularization on its diagonal, and
 the multipliers of the eliminated rows are recovered through the
 triangular QR factor.  Step lengths come from the NT-scaled directions
 Rinv dS Rinv^T and R^T dZ R, which the step equations already form: one
-symmetric eigenvalue call per block, with no factorization of S or Z.
+symmetric eigenvalue call per scaled matrix, with no factorization of S or
+Z.  A direction that is not finite gets step 0, which ends the solve with
+its best iterate.
+
+The relaxations are small (a few dozen moments on n = 2 tensors), so the
+iteration is bound by per-call overhead rather than arithmetic.  Each
+block operator is applied, and its adjoint taken, as one ``np.bincount``
+over the block's stored (row, column, value) entries, which sums in the
+order of the sparse matrix products; the NT factors and the step lengths
+call LAPACK (potrf, gesdd, syevd) directly, without the ``np.linalg``
+wrappers.
 
 Primal infeasibility is certified, never guessed: a returned dual ray
 (mu, Z_j) satisfies G^T mu + sum_j adj_j(Z_j) = 0, Z_j PSD, b.mu > 0,
@@ -42,6 +52,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .poly import basis_size
 
@@ -90,10 +101,15 @@ def _nt_scaling(S, Z):
 
     Returns (R, Rinv, sigma) with R^T Z R = diag(sigma) and
     R^{-1} S R^{-T} = diag(sigma); the scaling matrix is W = R R^T.
+    Raises ``np.linalg.LinAlgError`` when S or Z is not positive definite.
     """
-    Ls = np.linalg.cholesky(S)
-    Lz = np.linalg.cholesky(Z)
-    U, sig, Vt = np.linalg.svd(Lz.T @ Ls)
+    Ls, info_s = lapack.dpotrf(S, lower=1)
+    Lz, info_z = lapack.dpotrf(Z, lower=1)
+    if info_s != 0 or info_z != 0:
+        raise np.linalg.LinAlgError("NT scaling: block not positive definite")
+    U, sig, Vt, info = lapack.dgesdd(Lz.T @ Ls)
+    if info != 0:
+        raise np.linalg.LinAlgError("NT scaling: SVD did not converge")
     sig = np.maximum(sig, 1e-300)
     R = Ls @ Vt.T * (sig ** -0.5)
     Rinv = (sig[:, None] ** -0.5) * (U.T @ Lz.T)
@@ -105,10 +121,21 @@ def _scaled_step(sig, Ds, Dz):
 
     With NT factors of (S, Z), R^-1 (S + a dS) R^-T = diag(sig) + a Ds and
     R^T (Z + a dZ) R = diag(sig) + a Dz, so the step follows from the
-    eigenvalues of diag(sig)^-1/2 [Ds, Dz] diag(sig)^-1/2.
+    eigenvalues of diag(sig)^-1/2 [Ds, Dz] diag(sig)^-1/2.  A direction
+    that is not finite, or whose eigenvalues LAPACK cannot compute, gets
+    step 0.
     """
     h = sig ** -0.5
-    lam = np.linalg.eigvalsh(np.stack([Ds, Dz]) * np.outer(h, h))[:, 0].min()
+    hh = np.outer(h, h)
+    lam = np.inf
+    for D in (Ds, Dz):
+        M = D * hh
+        if not np.isfinite(M).all():
+            return 0.0
+        w, _v, info = lapack.dsyevd(M, compute_v=0, lower=1)
+        if info != 0:
+            return 0.0
+        lam = min(lam, w[0])
     if lam >= 0.0:
         return np.inf
     return 1.0 / (-lam)
@@ -124,9 +151,14 @@ class _Workspace:
         self.p, self.N = self.G.shape
         self.blocks = problem.blocks
         self.sides = [blk.side for blk in problem.blocks]
-        # views sharing each block's arrays, taken once: taking one costs more
-        # than a product with it
-        self.transposed = [blk.matrix.T for blk in problem.blocks]
+        # each block's stored entries as (row, column, value), taken once: a
+        # bincount over them sums in the order of the csr/csc products and
+        # skips their per-call dispatch
+        self.entries = []
+        for blk in problem.blocks:
+            mat = blk.matrix
+            rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+            self.entries.append((rows, mat.indices, mat.data))
         self.cone_dim = sum(self.sides)
         self.normb = 1.0 + np.max(np.abs(self.b))
         self.normc = 1.0 + (np.max(np.abs(self.c)) if self.c.size else 0.0)
@@ -137,13 +169,14 @@ class _Workspace:
 
     def apply(self, v):
         """block_j(v) for each block."""
-        return [(blk.matrix @ v).reshape(blk.side, blk.side) for blk in self.blocks]
+        return [np.bincount(rows, weights=data * v[cols], minlength=q * q).reshape(q, q)
+                for (rows, cols, data), q in zip(self.entries, self.sides)]
 
     def adjoint(self, Xs):
         """sum_j adj_j(X_j), mapping block matrices back to y-space."""
         out = np.zeros(self.N)
-        for mt, X in zip(self.transposed, Xs):
-            out += mt @ X.ravel()
+        for (rows, cols, data), X in zip(self.entries, Xs):
+            out += np.bincount(cols, weights=data * X.ravel()[rows], minlength=self.N)
         return out
 
 
@@ -280,7 +313,7 @@ def solve(problem, options=None):
         K[:m, m:] = -GsB.T
         K[m:, :m] = GsB
         K.flat[::K.shape[0] + 1] += opts.static_reg
-        lu, piv, info = scipy.linalg.lapack.dgetrf(K)
+        lu, piv, info = lapack.dgetrf(K)
         if info != 0:        # an exactly zero pivot: treat as a failed factorization
             break
 
@@ -309,8 +342,8 @@ def solve(problem, options=None):
             """
             y_p, phi_p, y0_phi_p, t1_s = part
             rhs = np.concatenate([-(B.T @ q1) - phi_p, t1_s - G_s @ y_p])
-            u = scipy.linalg.lapack.dgetrs(lu, piv, rhs)[0]
-            u += scipy.linalg.lapack.dgetrs(lu, piv, rhs - K @ u + opts.static_reg * u)[0]
+            u = lapack.dgetrs(lu, piv, rhs)[0]
+            u += lapack.dgetrs(lu, piv, rhs - K @ u + opts.static_reg * u)[0]
             z, dmu_s = u[:m], u[m:]
             b_dmu = y0 @ q1 + y0_phi_p + phi0 @ z + b_dmu_s @ dmu_s
             return y_p + B @ z, dmu_s, b_dmu
@@ -332,13 +365,9 @@ def solve(problem, options=None):
             dmu is left as None.  Also returns the scaled directions
             Ds = Rinv dS Rinv^T and Dz = R^T dZ R of each block.
             """
-            hterm = np.zeros(N)
-            Fs = []
-            for (R, Rinv, sig), mt, E, t2 in zip(scalings, ws.transposed, Es, t2s):
-                F = R @ E @ R.T + t2
-                Fs.append(F)
-                Winv_F_Winv = Rinv.T @ (Rinv @ F @ Rinv.T) @ Rinv
-                hterm += mt @ Winv_F_Winv.ravel()
+            Fs = [R @ E @ R.T + t2 for (R, Rinv, sig), E, t2 in zip(scalings, Es, t2s)]
+            hterm = ws.adjoint([Rinv.T @ (Rinv @ F @ Rinv.T) @ Rinv
+                                for (R, Rinv, sig), F in zip(scalings, Fs)])
             q1 = t3 - hterm
             dy_c, dmu_s_c, b_dmu_c = null_step(q1, part)
             dtau = (t4 - ws.c @ dy_c + b_dmu_c - t6 / tau) / denom

@@ -192,6 +192,33 @@ def test_continuum_checks_never_pass_on_atoms_below_the_optimum():
     assert not any(e["passed"] for e in checks if e["lam"] >= first)
 
 
+@pytest.mark.parametrize("kind, make, values, solves", [
+    ("Z", fixtures.ex56, [1.70701285567669e-08, 0.00020624208719176345,
+                          0.4571724209083913], 12),
+    ("H", fixtures.ex52, [1.3585945810150037, 1.4984689230852597,
+                          1.522550320217081, 4.730306524131185], 14),
+])
+def test_shifted_minimization_starts_at_the_passing_check_order(kind, make, values,
+                                                                 solves):
+    # below the order of the passed backward check, the shifted relaxation
+    # returned lam_i + delta and escalated (ex56 Z 14 solves, ex52 H 17)
+    spec = full_sweep(kind, make())
+    assert spec.termination == Termination.CERTIFIED_COMPLETE
+    assert spec.values == pytest.approx(values, abs=1e-8)
+    assert spec.counters["sdp_solves"] <= solves
+    check_k = check_passed = None
+    shifted = 0
+    for e in spec.log:
+        if e.get("phase") == "backward-max" and "status" in e:
+            check_k = e["k"]
+        elif e.get("phase") == "backward-check":
+            check_passed = e["passed"]
+        elif e.get("phase") == "shifted-min" and "status" in e:
+            assert check_passed and e["k"] >= check_k
+            shifted += 1
+    assert shifted
+
+
 def test_full_sweep_ex51_z():
     spec = full_sweep("Z", fixtures.ex51())
     assert spec.termination == Termination.CERTIFIED_COMPLETE

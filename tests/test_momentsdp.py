@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 import fixtures
-from tensorspectra.driver import z_system
+from tensorspectra.driver import h_system, z_system
 from tensorspectra.momentsdp import (MomentVector, assemble_matrix,
                                      build_max_relaxation,
                                      build_min_relaxation,
                                      localizing_structure, moment_structure,
                                      moment_vector_of_point)
 from tensorspectra.poly import (Polynomial, basis_size, moment_index_table,
-                                monomials_upto)
+                                monomials_upto, rank_table)
 from tensorspectra.sdpsolver import SolveStatus, solve
 
 
@@ -65,6 +66,54 @@ def test_moment_index_table_matches_moment_structure():
             y = rng.normal(size=basis_size(n, 2 * t))
             want = assemble_matrix(moment_structure(n, t), y)
             assert np.array_equal(y[moment_index_table(n, t)], want)
+
+
+def _loop_localizing_matrix(q, k):
+    """Reference: the localizing operator built cell by cell and term by term."""
+    n = q.n
+    side = basis_size(n, k - (q.degree + 1) // 2)
+    basis = monomials_upto(n, k - (q.degree + 1) // 2)
+    table = rank_table(n, 2 * k)
+    rows, cols, data = [], [], []
+    for a in range(side):
+        for b in range(a, side):
+            for cell in {a * side + b, b * side + a}:
+                for mono, c in q.terms.items():
+                    rows.append(cell)
+                    cols.append(table[tuple(x + y + z for x, y, z
+                                            in zip(mono, basis[a], basis[b]))])
+                    data.append(c)
+    return scipy.sparse.csr_matrix((data, (rows, cols)),
+                                   shape=(side * side, basis_size(n, 2 * k)))
+
+
+def _structure_polynomials():
+    rng = np.random.default_rng(11)
+    for n in range(1, 5):
+        for k in range(1, 5):
+            for terms in (1, 2, 5, 10):
+                monos = monomials_upto(n, int(rng.integers(0, 2 * k + 1)))
+                pick = rng.choice(len(monos), size=min(terms, len(monos)), replace=False)
+                yield Polynomial(n, {monos[i]: rng.standard_normal() for i in pick}), k
+    for make in (fixtures.ex51, fixtures.ex52, fixtures.ex55, lambda: fixtures.ex54(4)):
+        A = make()
+        f, hs = z_system(A)
+        fh, hhs, _m0 = h_system(A)
+        for q in [f, fh] + hs + hhs:
+            for k in range((q.degree + 1) // 2, 5):
+                yield q, k
+
+
+def test_localizing_structure_matches_loop_reference():
+    count = 0
+    for q, k in _structure_polynomials():
+        got = localizing_structure(q, k).matrix
+        want = _loop_localizing_matrix(q, k)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+        count += 1
+    assert count > 100
 
 
 def test_moment_matrix_of_point_is_rank_one():

@@ -7,12 +7,14 @@ import scipy.sparse
 import fixtures
 from tensorspectra.driver import Termination, full_sweep, h_system, z_system
 from tensorspectra.momentsdp import (ConicProblem, LocalizingStructure,
+                                     build_max_relaxation,
                                      build_min_relaxation, moment_structure,
                                      moment_vector_of_point)
 from tensorspectra.oracle import brute_z_n2
 from tensorspectra.poly import Polynomial
 from tensorspectra.sdpsolver import (SolveStatus, SolverOptions, _nt_scaling,
-                                     _scaled_step, solve, verify_solution)
+                                     _scaled_step, _Workspace, solve,
+                                     verify_solution)
 from tensorspectra.tensor import Tensor
 
 
@@ -187,6 +189,50 @@ def test_scaled_step_matches_cholesky_reference(q):
         got = _scaled_step(sig, (Ds + Ds.T) / 2.0, (Dz + Dz.T) / 2.0)
         want = min(_cholesky_step(S, dS), _cholesky_step(Z, dZ))
         assert got == pytest.approx(want, rel=1e-10)
+
+
+def _nan_at(D, i):
+    D = D.copy()
+    D[i, i] = np.nan
+    return D
+
+
+@pytest.mark.parametrize("Ds", [_nan_at(np.eye(3), 0), _nan_at(-np.eye(3), 1),
+                                np.full((3, 3), np.nan)],
+                         ids=["finite-eigenvalues", "lapack-error", "all-nan"])
+def test_non_finite_direction_gets_no_step(Ds):
+    # LAPACK may return finite eigenvalues for a NaN matrix, or fail on it;
+    # either way the solve must not move along that direction
+    assert _scaled_step(np.ones(3), Ds, np.eye(3)) == 0.0
+    assert _scaled_step(np.ones(3), np.eye(3), Ds) == 0.0
+
+
+def _parity_problems():
+    # ex56 H shifted relaxation at order 5 (sides 56, 20) and the ex53 Z
+    # nonneg max relaxation with its cap (sides 35, 10, 10)
+    f, hs, _m0 = h_system(fixtures.ex56())
+    yield build_min_relaxation(f, hs, [f - 0.05], 5)
+    f, hs = z_system(fixtures.ex53())
+    yield build_max_relaxation(f, hs, [f, Polynomial.constant(3, 0.6) - f], 4)
+
+
+@pytest.mark.parametrize("prob", list(_parity_problems()), ids=["ex56-H", "ex53-Z"])
+def test_workspace_operators_match_block_matrices(prob):
+    ws = _Workspace(prob)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        v = rng.standard_normal(prob.num_vars)
+        Xs = [rng.standard_normal((blk.side, blk.side)) for blk in prob.blocks]
+        got = ws.apply(v)
+        for blk, M in zip(prob.blocks, got):
+            want = (blk.matrix @ v).reshape(blk.side, blk.side)
+            assert np.max(np.abs(M - want)) <= 1e-13 * np.max(np.abs(want))
+        adj = ws.adjoint(Xs)
+        want = sum(blk.matrix.T @ X.ravel() for blk, X in zip(prob.blocks, Xs))
+        assert np.max(np.abs(adj - want)) <= 1e-13 * np.max(np.abs(want))
+        lhs = sum(np.sum(M * X) for M, X in zip(got, Xs))
+        assert lhs == pytest.approx(v @ adj, rel=1e-13)
+    assert [blk.side for blk in prob.blocks] in ([56, 20], [35, 10, 10])
 
 
 @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
