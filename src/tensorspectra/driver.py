@@ -18,6 +18,13 @@ starts at order k or above: below it, that relaxation tends to return the
 gap's boundary value lam_i + delta and escalate anyway.  Backward checks
 keep their own start order, one below the last order that passed;
 starting them higher costs large relaxations on the H fixtures.
+
+Every H system and every even-order Z system is unchanged under u -> -u,
+so its relaxations are built over the even-degree moments only (see
+:mod:`momentsdp`); each solution is lifted back to the full moment vector,
+odd moments at zero, before flat truncation and extraction read it.  Each
+certificate is still verified against the relaxation handed to the
+solver.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import numpy as np
 
 from . import sdpsolver
 from .extract import ExtractionError, extract_atoms, flat_truncation
-from .momentsdp import MomentVector, build_max_relaxation, build_min_relaxation
+from .momentsdp import build_max_relaxation, build_min_relaxation
 from .poly import Polynomial, tensor_to_poly, tensor_to_poly_vector
 from .sdpsolver import SolveStatus, SolverOptions, verify_solution
 from .tensor import contract_partial
@@ -366,7 +373,7 @@ class _Driver:
                     continue
                 if best_bound is None or sol.objective > best_bound:
                     best_bound = sol.objective
-                y = MomentVector(prob.n, k, sol.y)
+                y = prob.lift(sol.y)
                 # polish + residual + value gates below do the hard
                 # verification; weight sums only need to be sane
                 wtol = 1e-4 if sol.status == SolveStatus.OPTIMAL else 1e-3
@@ -426,7 +433,7 @@ class _Driver:
             if bound <= lam_i + thresh:
                 return self._passed(k, bound, False)
             # flat + verified atoms pin the true maximum below the bound
-            y = MomentVector(prob.n, k, sol.y)
+            y = prob.lift(sol.y)
             wtol = 1e-4 if sol.status == SolveStatus.OPTIMAL else 1e-3
             measure = self._try_extract(y, k, wtol)
             if measure is None:

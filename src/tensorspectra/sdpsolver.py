@@ -30,7 +30,9 @@ triangular QR factor.  Step lengths come from the NT-scaled directions
 Rinv dS Rinv^T and R^T dZ R, which the step equations already form: one
 symmetric eigenvalue call per scaled matrix, with no factorization of S or
 Z.  A direction that is not finite gets step 0, which ends the solve with
-its best iterate.
+its best iterate.  The top-degree moments are the problem's
+``top_degree`` variables, so a relaxation over part of the moments needs
+no branch here.
 
 The relaxations are small (a few dozen moments on n = 2 tensors), so the
 iteration is bound by per-call overhead rather than arithmetic.  Each
@@ -39,6 +41,10 @@ over the block's stored (row, column, value) entries, which sums in the
 order of the sparse matrix products; the NT factors and the step lengths
 call LAPACK (potrf, gesdd, syevd) directly, without the ``np.linalg``
 wrappers.
+
+A solve that ends without converging returns its best iterate, with
+``iterations`` the steps it ran and ``best_iteration`` the step count at
+that iterate.
 
 Primal infeasibility is certified, never guessed: a returned dual ray
 (mu, Z_j) satisfies G^T mu + sum_j adj_j(Z_j) = 0, Z_j PSD, b.mu > 0,
@@ -53,8 +59,6 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
-
-from .poly import basis_size
 
 
 class SolveStatus(Enum):
@@ -204,7 +208,7 @@ def solve(problem, options=None):
     # whose multipliers carry static_reg; at a rank-deficient optimum they
     # pin the moments the relaxation leaves free, and eliminating them too
     # stalls the iteration on ill-posed relaxations (ex55 H, k = 5).
-    soft = np.any(ws.G[:, basis_size(problem.n, 2 * problem.k - 1):] != 0, axis=1)
+    soft = np.any(ws.G[:, problem.top_degree] != 0, axis=1)
     hard = ~soft
     G_s = ws.G[soft]
     ph = p - G_s.shape[0]
@@ -234,6 +238,7 @@ def solve(problem, options=None):
 
     best = None
     tiny_steps = 0
+    steps = 0
     for it in range(opts.max_iter):
         rp = ws.G @ y - ws.b * tau
         mats_y = ws.apply(y)
@@ -465,6 +470,7 @@ def solve(problem, options=None):
             Z[j] = (Z[j] + Z[j].T) / 2.0
         tau += alpha * dtau
         kappa += alpha * dkappa
+        steps += 1
         if opts.verbose:
             print(f"  it {it:3d} pres {pres:9.2e} dres {dres:9.2e} "
                   f"gap {relgap:9.2e} tau {tau:9.2e} kappa {kappa:9.2e} a {alpha:.3f}")
@@ -472,11 +478,12 @@ def solve(problem, options=None):
         if tiny_steps >= 3:
             break
 
-    # no convergence: classify the best iterate seen
+    # no convergence: classify the best iterate seen, counting every step run
     if best is None:
         return ConicSolution(status=SolveStatus.ITERATION_LIMIT,
                              metrics={"iterations": 0})
     merit, yb, mub, Zb, metrics = best
+    metrics = dict(metrics, iterations=steps, best_iteration=metrics["iterations"])
     status = SolveStatus.INACCURATE if merit <= opts.inaccurate_tol \
         else SolveStatus.ITERATION_LIMIT
     return ConicSolution(status=status, y=yb, objective=float(sign * (ws.c @ yb)),

@@ -343,7 +343,7 @@ def test_criterion_11i_no_false_infeasibility():
             prob = build_min_relaxation(f, hs, [], k)
             u = res.eigenpairs[0][1][0]
             y = moment_vector_of_point(u, k)
-            assert np.max(np.abs(prob.eq_rows @ y.values - prob.eq_rhs)) < 1e-8
+            assert np.max(np.abs(prob.eq_rows @ y.values[prob.support] - prob.eq_rhs)) < 1e-8
             sol = solve(prob)
             assert sol.status != SolveStatus.PRIMAL_INFEASIBLE
             checked += 1

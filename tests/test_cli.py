@@ -10,6 +10,7 @@ import fixtures
 import tensorspectra
 from tensorspectra.cli import build_parser, emit_json, run
 from tensorspectra.driver import full_sweep
+from tensorspectra.poly import monomials_upto
 from tensorspectra.tensor import serialize_tensor
 
 
@@ -152,6 +153,14 @@ def test_dump_sdp_writes_files(ex13_file, tmp_path, capsys):
     content = (dump_dir / files[0]).read_text()
     assert content.startswith("conic-problem")
     assert "objective" in content and "blocks" in content
+    # ex13 Z is order 4, so its relaxations are over the even-degree moments;
+    # the dump lists their positions in the graded monomial order
+    header, support = content.splitlines()[:2]
+    fields = dict(item.split("=") for item in header.split()[1:])
+    n, k = int(fields["n"]), int(fields["k"])
+    want = [i for i, mono in enumerate(monomials_upto(n, 2 * k)) if sum(mono) % 2 == 0]
+    assert support.split() == ["support"] + [str(i) for i in want]
+    assert int(fields["vars"]) == len(want)
 
 
 def test_parser_rejects_unknown_mode():

@@ -125,7 +125,7 @@ def test_extraction_from_solved_relaxation_ex51():
     prob = build_min_relaxation(f, hs, [], 4)
     sol = solve(prob)
     assert sol.status == SolveStatus.OPTIMAL
-    y = MomentVector(2, 4, sol.y)
+    y = prob.lift(sol.y)
     t = flat_truncation(y, 3, 4)
     assert t is not None
     meas = extract_atoms(y, t)
@@ -153,7 +153,7 @@ def test_extracted_atoms_near_variety_before_polish():
     f, hs = z_system(A)
     prob = build_min_relaxation(f, hs, [], 4)
     sol = solve(prob)
-    y = MomentVector(2, 4, sol.y)
+    y = prob.lift(sol.y)
     meas = extract_atoms(y, flat_truncation(y, 3, 4))
     for u in meas.points:
         u = system.normalize(u)

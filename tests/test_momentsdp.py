@@ -4,14 +4,14 @@ import scipy.sparse
 
 import fixtures
 from tensorspectra.driver import h_system, z_system
-from tensorspectra.momentsdp import (MomentVector, assemble_matrix,
-                                     build_max_relaxation,
-                                     build_min_relaxation,
+from tensorspectra.momentsdp import (MomentVector, _build_relaxation, _parity,
+                                     assemble_matrix, build_max_relaxation,
+                                     build_min_relaxation, dump_problem,
                                      localizing_structure, moment_structure,
                                      moment_vector_of_point)
 from tensorspectra.poly import (Polynomial, basis_size, moment_index_table,
                                 monomials_upto, rank_table)
-from tensorspectra.sdpsolver import SolveStatus, solve
+from tensorspectra.sdpsolver import ConicSolution, SolveStatus, solve, verify_solution
 
 
 def _unit_moment(n, k, alpha):
@@ -224,8 +224,9 @@ def test_point_moments_feasible_with_objective_value():
         prob = build_min_relaxation(f, hs, [], k)
         for u in ([0.0, 1.0], [1.0, 0.0], [0.0, -1.0]):
             y = moment_vector_of_point(u, k)
-            assert np.max(np.abs(prob.eq_rows @ y.values - prob.eq_rhs)) < 1e-10
-            assert prob.c @ y.values == pytest.approx(f.evaluate(u), rel=1e-12)
+            v = y.values[prob.support]
+            assert np.max(np.abs(prob.eq_rows @ v - prob.eq_rhs)) < 1e-10
+            assert prob.c @ v == pytest.approx(f.evaluate(u), rel=1e-12)
             for blk in prob.blocks:
                 M = assemble_matrix(blk, y)
                 assert np.linalg.eigvalsh(M)[0] >= -1e-10
@@ -284,7 +285,7 @@ def test_feasible_y_blocks_psd():
     sol = solve(prob)
     assert sol.status == SolveStatus.OPTIMAL
     for blk in prob.blocks:
-        M = assemble_matrix(blk, MomentVector(2, 3, sol.y))
+        M = assemble_matrix(blk, prob.lift(sol.y))
         assert np.linalg.eigvalsh(M)[0] >= -1e-7
 
 
@@ -294,3 +295,166 @@ def test_truncation_is_prefix():
     y = moment_vector_of_point(u, 3)
     y2 = moment_vector_of_point(u, 2)
     assert np.allclose(y.truncate(4), y2.values)
+
+
+# the eigen-systems of the reduction tests: (tensor, kind, order, the shift
+# and the cap, each between two eigenvalues, and the largest eigenvalue).
+# ex55 H is capped below its eigenvalue 5.5e-4: OPTIMAL solves of the order-5
+# relaxation capped above it spread by 1.5e-7, full or reduced alike.
+_INVARIANT = [
+    ("ex51", "Z", 4, 24.0, 24.0, 25.1),
+    ("ex55", "Z", 4, 5.0, 5.0, 13.8286),
+    ("ex56", "Z", 4, 0.1, 0.1, 0.4572),
+    ("ex51", "H", 4, 24.05, 24.05, 49.2687),
+    ("ex55", "H", 5, 1.0, -0.1, 41.4705),
+    ("ex56", "H", 5, 0.1, 0.1, 1.3581),
+]
+
+
+def _system(name, kind):
+    A = getattr(fixtures, name)()
+    if kind == "Z":
+        return z_system(A)
+    f, hs, _m0 = h_system(A)
+    return f, hs
+
+
+def _both(f, hs, ineqs, k, maximize):
+    """The reduced relaxation and its full reference."""
+    return (_build_relaxation(f, hs, ineqs, k, maximize, None),
+            _build_relaxation(f, hs, ineqs, k, maximize, None, reduce=False))
+
+
+@pytest.mark.parametrize("name,kind,k,shift,cap,top", _INVARIANT,
+                         ids=[f"{c[0]}-{c[1]}" for c in _INVARIANT])
+def test_reduced_relaxation_matches_full(name, kind, k, shift, cap, top):
+    f, hs = _system(name, kind)
+    capped = Polynomial.constant(f.n, cap) - f
+    for ineqs, maximize in (([], False), ([f - shift], False), ([capped], True)):
+        red, full = _both(f if not maximize else f.scale(-1.0), hs, ineqs, k, maximize)
+        assert red.num_vars < full.num_vars
+        assert np.array_equal(red.support, _even_positions(f.n, k))
+        assert [b.side for b in red.blocks] == [b.side for b in full.blocks]
+        a, b = solve(red), solve(full)
+        assert a.status == b.status == SolveStatus.OPTIMAL
+        # within the IPM's own gap test: 1e-8 relative to 1 + |value|
+        assert abs(a.objective - b.objective) <= 1e-8 * (1.0 + abs(b.objective))
+
+
+def _even_positions(n, k):
+    return [i for i, m in enumerate(monomials_upto(n, 2 * k)) if sum(m) % 2 == 0]
+
+
+def _lift_certificate(red, full, cert):
+    """A reduced Farkas certificate as one of the full relaxation.
+
+    The unit row <1, y> = 1 keeps its multiplier, the localizing rows of
+    odd support get zero, and those of even support reproduce the reduced
+    localizing rows' combination (both sets span the same rows).  Each
+    block dual loses its cross-parity cells: a pinching, so it stays PSD.
+    """
+    odd = np.setdiff1d(np.arange(full.num_vars), red.support)
+    even_loc = ~np.any(full.eq_rows[:, odd] != 0, axis=1)
+    even_loc[0] = False
+    mu = np.zeros(full.eq_rows.shape[0])
+    mu[0] = cert["mu"][0]
+    mu[even_loc] = np.linalg.lstsq(full.eq_rows[even_loc][:, red.support].T,
+                                   red.eq_rows[1:].T @ cert["mu"][1:], rcond=None)[0]
+    blocks = []
+    for blk, Z in zip(red.blocks, cert["blocks"]):
+        basis = monomials_upto(blk.n, blk.k - (blk.q.degree + 1) // 2)
+        parity = np.array([sum(m) % 2 for m in basis])
+        blocks.append(Z * (parity[:, None] == parity[None, :]))
+    return {"mu": mu, "blocks": blocks}
+
+
+@pytest.mark.parametrize("name,kind,k,shift,cap,top", _INVARIANT + [
+    ("ex13", "Z", 3, None, None, None), ("ex13", "H", 4, None, None, None)],
+    ids=[f"{c[0]}-{c[1]}" for c in _INVARIANT] + ["ex13-Z", "ex13-H"])
+def test_reduced_certificates_lift_to_full(name, kind, k, shift, cap, top):
+    # shifted minimizations above the largest eigenvalue, and ex13's
+    # minimizations (no real eigenvalue), are infeasible
+    f, hs = _system(name, kind)
+    ineqs = [] if top is None else [f - (top + 0.1)]
+    for order in range(k, k + 3):
+        red, full = _both(f, hs, ineqs, order, False)
+        sol = solve(red)
+        if sol.status == SolveStatus.PRIMAL_INFEASIBLE:
+            break
+    assert sol.status == SolveStatus.PRIMAL_INFEASIBLE
+    assert verify_solution(red, sol)["ok"]
+    lifted = ConicSolution(status=SolveStatus.PRIMAL_INFEASIBLE,
+                           certificate=_lift_certificate(red, full, sol.certificate))
+    report = verify_solution(full, lifted)
+    assert report["ok"], report
+
+
+def _full_reference(f, hs, ineqs, k):
+    """The parent's layout: every moment, blocks over the full vector."""
+    return f.coefficient_vector(2 * k), [localizing_structure(g, k).matrix
+                                         for g in [Polynomial.constant(f.n, 1.0)] + ineqs]
+
+
+def _non_invariant_relaxations():
+    # odd-order Z, with and without nonneg, and a mixed-parity system
+    for make in (fixtures.ex52, fixtures.ex53):
+        f, hs = z_system(make())
+        for ineqs in ([], [f], [f, Polynomial.constant(3, 0.6) - f]):
+            yield f, hs, ineqs, 3
+    f, hs = z_system(fixtures.ex51())
+    x1 = Polynomial.variable(2, 0)
+    yield f, hs, [x1], 3                               # odd inequality
+    yield f, hs + [x1 * x1 + x1 - 0.5], [], 3          # mixed-parity equality
+    yield f + x1, hs, [], 3                            # mixed-parity objective
+
+
+def test_non_invariant_relaxations_keep_every_moment():
+    for f, hs, ineqs, k in _non_invariant_relaxations():
+        prob = build_min_relaxation(f, hs, ineqs, k)
+        ref = _build_relaxation(f, hs, ineqs, k, False, None, reduce=False)
+        c, mats = _full_reference(f, hs, ineqs, k)
+        assert prob.num_vars == basis_size(f.n, 2 * k)
+        assert np.array_equal(prob.support, np.arange(prob.num_vars))
+        assert np.array_equal(prob.c, c)
+        assert np.array_equal(prob.eq_rows, ref.eq_rows)
+        assert np.array_equal(prob.eq_rhs, ref.eq_rhs)
+        for blk, want in zip(prob.blocks, mats, strict=True):
+            assert blk.support is None
+            assert (blk.matrix != want).nnz == 0
+        assert "support" not in dump_problem(prob)
+
+
+def test_parity_detection():
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    assert _parity(Polynomial.zero(2)) == 0
+    assert _parity(Polynomial.constant(2, 3.0)) == 0
+    assert _parity(x * y - 1.0) == 0
+    assert _parity(x + x * y * y) == 1
+    assert _parity(x * y + x) is None
+    assert _parity(x * 0.0) == 0
+    # zero and constant polynomials keep a system sign-invariant
+    f = x * x + y * y
+    for eqs, ineqs in (([Polynomial.zero(2)], []), ([f - 1.0], [Polynomial.zero(2)]),
+                       ([f - 1.0], [Polynomial.constant(2, 2.0)]),
+                       ([f - 1.0, x * f], [])):
+        prob = build_min_relaxation(f, eqs, ineqs, 2)
+        assert list(prob.support) == _even_positions(2, 2)
+    prob = build_min_relaxation(Polynomial.zero(2), [f - 1.0], [], 2)
+    assert list(prob.support) == _even_positions(2, 2)
+    assert build_min_relaxation(f, [f - 1.0], [x], 2).num_vars == 15
+
+
+def test_lift_and_top_degree_follow_the_support():
+    f, hs = z_system(fixtures.ex51())
+    prob = build_min_relaxation(f, hs, [], 3)
+    y = np.arange(1.0, prob.num_vars + 1.0)
+    full = prob.lift(y)
+    assert full.values.shape == (basis_size(2, 6),)
+    assert np.array_equal(full.values[prob.support], y)
+    odd = np.setdiff1d(np.arange(basis_size(2, 6)), prob.support)
+    assert not full.values[odd].any()
+    degrees = [sum(monomials_upto(2, 6)[i]) for i in prob.support]
+    assert list(prob.top_degree) == [d == 6 for d in degrees]
+    # a reduced block reads a full moment vector through its support
+    for blk in prob.blocks:
+        assert np.array_equal(assemble_matrix(blk, full), assemble_matrix(blk, y))

@@ -72,7 +72,7 @@ def test_verify_rejects_corrupted_point():
     sol = solve(prob)
     bad = copy.deepcopy(sol)
     bad.y = sol.y.copy()
-    bad.y[2] += 0.1       # breaks the localizing equality x^2 - 1
+    bad.y[prob.support == 2] += 0.1   # moment x^2: breaks the equality x^2 - 1
     report = verify_solution(prob, bad)
     assert report["eq_residual"] > 1e-6
     assert not report["checks"]["equalities"]
@@ -102,7 +102,7 @@ def test_never_infeasible_with_known_feasible_point():
             prob = build_min_relaxation(f, hs, [], k)
             u = res.eigenpairs[0][1][0]
             y = moment_vector_of_point(u, k)
-            assert np.max(np.abs(prob.eq_rows @ y.values - prob.eq_rhs)) < 1e-8
+            assert np.max(np.abs(prob.eq_rows @ y.values[prob.support] - prob.eq_rhs)) < 1e-8
             sol = solve(prob)
             assert sol.status != SolveStatus.PRIMAL_INFEASIBLE
     assert count >= 5
@@ -134,6 +134,17 @@ def test_iteration_limit_status():
     prob = _toy_min()
     sol = solve(prob, SolverOptions(max_iter=1, inaccurate_tol=1e-12))
     assert sol.status in (SolveStatus.ITERATION_LIMIT, SolveStatus.INACCURATE)
+
+
+def test_unconverged_solve_counts_every_step():
+    # the ex56 Z order-3 minimization needs 14 steps
+    f, hs = z_system(fixtures.ex56())
+    prob = build_min_relaxation(f, hs, [], 3)
+    assert solve(prob).iterations > 5
+    sol = solve(prob, SolverOptions(max_iter=5))
+    assert sol.status in (SolveStatus.ITERATION_LIMIT, SolveStatus.INACCURATE)
+    assert sol.iterations == 5
+    assert 0 <= sol.metrics["best_iteration"] <= 5
 
 
 def test_solution_metrics_present():
