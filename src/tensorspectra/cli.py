@@ -25,7 +25,7 @@ def _fmt(x, sig=12):
     return f"{float(x):.{sig}g}"
 
 
-def emit_json(spectrum, config=None, counters=None):
+def emit_json(spectrum, config=None):
     """Machine-readable report with a fixed field order.
 
     Reals carry 12 significant digits, so parse-and-reemit reproduces the
@@ -55,8 +55,8 @@ def emit_json(spectrum, config=None, counters=None):
     cfg_rows = ", ".join(
         f'"{k}": {v}' for k, v in cfg.items())
     out.append('  "config": {' + cfg_rows + "},")
-    cnt = counters if counters is not None else spectrum.counters
-    cnt_rows = ", ".join(f'"{k}": {int(v)}' for k, v in sorted(cnt.items()))
+    cnt_rows = ", ".join(
+        f'"{k}": {int(v)}' for k, v in sorted(spectrum.counters.items()))
     out.append('  "timings": {' + cnt_rows + "}")
     out.append("}")
     return "\n".join(out) + "\n"

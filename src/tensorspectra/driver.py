@@ -37,7 +37,7 @@ import numpy as np
 from . import sdpsolver
 from .extract import ExtractionError, extract_atoms, flat_truncation
 from .momentsdp import build_max_relaxation, build_min_relaxation
-from .poly import Polynomial, tensor_to_poly, tensor_to_poly_vector
+from .poly import Polynomial, tensor_to_poly_vector
 from .sdpsolver import SolveStatus, SolverOptions, verify_solution
 from .tensor import contract_partial
 
@@ -109,43 +109,44 @@ def h_count_bound(m, n):
     return n * (m - 1) ** (n - 1)
 
 
-def z_system(A):
-    """Objective and defining equations of the Z-eigenvector variety.
+def _system(A, p, m0):
+    """Objective and defining equations of the eigen-system with powers p, m0.
 
-    Eigenvectors are the solutions of h = 0; the eigenvalue at a solution
-    u is f(u), the full contraction.
+    Eigenvectors are the solutions of h = 0: (A x^{m-1})_j = f(x) x_j^p for
+    every j, and sum_i x_i^m0 = 1.  The objective f = sum_j (A x^{m-1})_j
+    x_j^{m0-p} equals the eigenvalue on that variety.
     """
     n = A.dim
-    f = tensor_to_poly(A)
+    x = [Polynomial.variable(n, j) for j in range(n)]
     Ax = tensor_to_poly_vector(A)
-    h = [Ax[j] - f * Polynomial.variable(n, j) for j in range(n)]
-    sphere = sum((Polynomial.variable(n, i) ** 2 for i in range(n)),
-                 Polynomial.zero(n)) - 1.0
-    h.append(sphere)
+    f = sum((Ax[j] * x[j] ** (m0 - p) for j in range(n)), Polynomial.zero(n))
+    h = [Ax[j] - f * x[j] ** p for j in range(n)]
+    h.append(sum((xi ** m0 for xi in x), Polynomial.zero(n)) - 1.0)
     return f, h
 
 
-def h_system(A):
-    """Objective, defining equations, and normalization power for H-pairs.
+def z_system(A):
+    """(f, h) of the Z-pairs A x^{m-1} = lam x, x^T x = 1: p = 1, m0 = 2."""
+    return _system(A, 1, 2)
 
-    Eigenvectors normalized by sum x_i^m0 = 1 are the solutions of h = 0,
-    with eigenvalue f(u).
+
+def h_system(A):
+    """(f, h, m0) of the H-pairs A x^{m-1} = lam x^{[m-1]}: p = m - 1.
+
+    They are normalized by sum x_i^m0 = 1, m0 the least even number >= m - 1.
     """
-    n, m = A.dim, A.order
-    m0 = 2 * ((m - 1 + 1) // 2)
-    Ax = tensor_to_poly_vector(A)
-    f = Polynomial.zero(n)
-    for j in range(n):
-        f = f + Ax[j] * (Polynomial.variable(n, j) ** (m0 - m + 1))
-    h = [Ax[j] - f * (Polynomial.variable(n, j) ** (m - 1)) for j in range(n)]
-    norm = sum((Polynomial.variable(n, i) ** m0 for i in range(n)),
-               Polynomial.zero(n)) - 1.0
-    h.append(norm)
-    return f, h, m0
+    m0 = 2 * (A.order // 2)
+    return (*_system(A, A.order - 1, m0), m0)
 
 
 class EigenSystem:
-    """One tensor's eigenvalue problem in either the Z or H formulation."""
+    """One tensor's eigenvalue problem, Z or H.
+
+    Both kinds solve F(lam, x) = 0 with F = (sum_i x_i^m0 - 1,
+    A x^{m-1} - lam x^{[p]}): Z-pairs have p = 1 and m0 = 2, H-pairs
+    p = m - 1 and the even m0 of :func:`h_system`.  The relaxation
+    hierarchy starts at k0 = ceil((m0 + m - 1) / 2).
+    """
 
     def __init__(self, kind, A):
         self.kind = Kind(kind)
@@ -153,17 +154,15 @@ class EigenSystem:
         self.n, self.m = A.dim, A.order
         if self.kind is Kind.Z:
             self.f, self.h = z_system(A)
-            self.m0 = None
-            self.k0 = (self.m + 1 + 1) // 2          # ceil((m+1)/2)
+            self.p, self.m0 = 1, 2
         else:
             self.f, self.h, self.m0 = h_system(A)
-            self.k0 = (self.m0 + self.m - 1 + 1) // 2  # ceil((m0+m-1)/2)
+            self.p = self.m - 1
+        self.k0 = (self.m0 + self.m) // 2            # ceil((m0+m-1)/2)
         self._jac_polys = [p.gradient() for p in tensor_to_poly_vector(A)]
 
     def normalize(self, u):
         u = np.asarray(u, dtype=float)
-        if self.kind is Kind.Z:
-            return u / np.linalg.norm(u)
         scale = float(np.sum(u ** self.m0))
         if scale <= 0.0:
             raise ValueError("cannot normalize a zero vector")
@@ -173,45 +172,23 @@ class EigenSystem:
         return float(self.f.evaluate(u))
 
     def residual(self, lam, u):
-        u = np.asarray(u, dtype=float)
-        Au = contract_partial(self.A, u)
-        if self.kind is Kind.Z:
-            rnorm = abs(float(u @ u) - 1.0)
-            req = np.max(np.abs(Au - lam * u))
-        else:
-            rnorm = abs(float(np.sum(u ** self.m0)) - 1.0)
-            req = np.max(np.abs(Au - lam * u ** (self.m - 1)))
-        return max(rnorm, float(req))
+        return float(np.max(np.abs(self.F(lam, u))))
 
     def F(self, lam, x):
         x = np.asarray(x, dtype=float)
-        Au = contract_partial(self.A, x)
-        if self.kind is Kind.Z:
-            top = float(x @ x) - 1.0
-            rest = Au - lam * x
-        else:
-            top = float(np.sum(x ** self.m0)) - 1.0
-            rest = Au - lam * x ** (self.m - 1)
+        top = float(np.sum(x ** self.m0)) - 1.0
+        rest = contract_partial(self.A, x) - lam * x ** self.p
         return np.concatenate(([top], rest))
 
     def jacobian(self, lam, x):
         """Jacobian of F with respect to (lam, x)."""
         x = np.asarray(x, dtype=float)
-        n, m = self.n, self.m
-        J = np.zeros((n + 1, n + 1))
-        if self.kind is Kind.Z:
-            J[0, 1:] = 2.0 * x
-            J[1:, 0] = -x
-        else:
-            J[0, 1:] = self.m0 * x ** (self.m0 - 1)
-            J[1:, 0] = -(x ** (m - 1))
-        for j in range(n):
-            for i in range(n):
-                J[1 + j, 1 + i] = self._jac_polys[j][i].evaluate(x)
-            if self.kind is Kind.Z:
-                J[1 + j, 1 + j] -= lam
-            else:
-                J[1 + j, 1 + j] -= lam * (m - 1) * x[j] ** (m - 2)
+        p = self.p
+        J = np.zeros((self.n + 1, self.n + 1))
+        J[0, 1:] = self.m0 * x ** (self.m0 - 1)
+        J[1:, 0] = -(x ** p)
+        J[1:, 1:] = [[g.evaluate(x) for g in row] for row in self._jac_polys]
+        J[1:, 1:] -= np.diag(lam * p * x ** (p - 1))
         return J
 
 
@@ -227,11 +204,10 @@ def polish_eigenpair(kind, A, lam, u, max_iter=50, target=1e-13):
     lam = float(lam)
     x = np.asarray(u, dtype=float).copy()
     scale = 1.0 + abs(lam)
-    best = (lam, x.copy(), np.max(np.abs(system.F(lam, x))))
-    cur = best[2]
+    Fv = system.F(lam, x)
+    nrm = np.max(np.abs(Fv))
+    best = (lam, x.copy(), nrm)
     for _ in range(max_iter):
-        Fv = system.F(lam, x)
-        nrm = np.max(np.abs(Fv))
         if nrm < best[2]:
             best = (lam, x.copy(), nrm)
         if nrm <= target * scale:
@@ -244,9 +220,11 @@ def polish_eigenpair(kind, A, lam, u, max_iter=50, target=1e-13):
             step, *_ = np.linalg.lstsq(J, -Fv, rcond=1e-10)
         lam += step[0]
         x += step[1:]
-        if np.max(np.abs(system.F(lam, x))) > 10.0 * max(cur, 1e-12):
+        prev = nrm
+        Fv = system.F(lam, x)
+        nrm = np.max(np.abs(Fv))
+        if nrm > 10.0 * max(prev, 1e-12):
             break
-        cur = np.max(np.abs(system.F(lam, x)))
     lam, x, nrm = best
     if nrm <= target * scale:
         return lam, x, True
@@ -405,13 +383,12 @@ class _Driver:
         """
         sys_, opts = self.system, self.opts
         thresh = min(opts.eps_eq, 0.5 * delta)
-        cap = Polynomial.constant(sys_.n, lam_i + delta) - sys_.f
+        ineqs = self.base_ineqs + [Polynomial.constant(sys_.n, lam_i + delta) - sys_.f]
         best = None
         kmax = sys_.k0 + opts.kmax_offset
         start = min(self._warm.get("max", sys_.k0), kmax)
         for k in range(start, kmax + 1):
-            prob = build_max_relaxation(sys_.f, sys_.h,
-                                        self.base_ineqs + [cap], k,
+            prob = build_max_relaxation(sys_.f, sys_.h, ineqs, k,
                                         store=self._relaxations)
             sol = self._solve(prob, "backward-max", k, delta)
             if sol.status == SolveStatus.PRIMAL_INFEASIBLE:
@@ -438,21 +415,10 @@ class _Driver:
             measure = self._try_extract(y, k, wtol)
             if measure is None:
                 continue
-            nu_atoms = None
-            for u in measure.points:
-                try:
-                    u = sys_.normalize(u)
-                except (ValueError, FloatingPointError):
-                    continue
-                lam, v, _ = polish_eigenpair(sys_, None, sys_.eigenvalue_at(u), u)
-                if sys_.residual(lam, v) > opts.eps_res:
-                    continue
-                if sys_.f.evaluate(v) > lam_i + delta + 1e-6 * (1.0 + abs(lam)):
-                    continue
-                if nu_atoms is None or lam > nu_atoms:
-                    nu_atoms = lam
-            if nu_atoms is None:
+            atoms = self._verified_atoms(measure.points, k, ineqs)
+            if not atoms:
                 continue
+            nu_atoms = max(lam for lam, _, _ in atoms)
             self._record(phase="backward-max", k=k, nu_atoms=float(nu_atoms))
             if abs(nu_atoms - lam_i) <= thresh and sol.objective - nu_atoms <= thresh:
                 return self._passed(k, nu_atoms, True)
@@ -474,13 +440,13 @@ class _Driver:
         self._warm["min"] = max(self._warm.get("min", self.system.k0), k)
         return True, float(nu), atoms
 
-    def _accept_atoms(self, points, k, ineqs, sdp_value):
-        """Polish extracted points into verified eigenpairs at one value.
+    def _verified_atoms(self, points, k, ineqs):
+        """Polish extracted points into verified eigenpairs.
 
-        Atoms must satisfy the calling context's inequalities (otherwise
-        they escaped through an unconverged relaxation), and the polished
-        eigenvalue must reproduce the relaxation optimum, which flat
-        truncation guarantees for a genuinely converged order.
+        Returns the (lam, v, residual) triples whose polished residual is
+        within eps_res and whose vector satisfies the calling context's
+        inequalities (otherwise it escaped through an unconverged
+        relaxation).  Each rejected point is logged.
         """
         sys_, opts = self.system, self.opts
         pairs = []
@@ -488,21 +454,35 @@ class _Driver:
             try:
                 u = sys_.normalize(u)
             except (ValueError, FloatingPointError):
+                self._record(phase="accept", k=k, note="atom cannot be normalized")
                 continue
             lam0 = sys_.eigenvalue_at(u)
-            if sys_.residual(lam0, u) > PRE_POLISH_TOL:
+            res0 = sys_.residual(lam0, u)
+            if res0 > PRE_POLISH_TOL:
                 self._record(phase="accept", k=k, note="atom rejected before polish",
-                             residual=float(sys_.residual(lam0, u)))
+                             residual=res0)
                 continue
             lam, v, _polished = polish_eigenpair(sys_, None, lam0, u)
             res = sys_.residual(lam, v)
             if res > opts.eps_res:
+                self._record(phase="accept", k=k, value=float(lam), residual=res,
+                             note="atom failed the residual gate after polish")
                 continue
             if any(g.evaluate(v) < -1e-6 * (1.0 + abs(lam)) for g in ineqs):
                 self._record(phase="accept", k=k, value=float(lam),
                              note="atom violates a context inequality")
                 continue
             pairs.append((lam, v, res))
+        return pairs
+
+    def _accept_atoms(self, points, k, ineqs, sdp_value):
+        """Verified eigenpairs at one value, or None.
+
+        The polished eigenvalue must reproduce the relaxation optimum, which
+        flat truncation guarantees for a genuinely converged order.
+        """
+        sys_, opts = self.system, self.opts
+        pairs = self._verified_atoms(points, k, ineqs)
         if not pairs:
             return None
         # keep the cluster at the smallest eigenvalue; stragglers belong to

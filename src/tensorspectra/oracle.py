@@ -1,9 +1,11 @@
 """Brute-force ground truth for two-dimensional tensors.
 
 For n = 2 the eigenvalue systems reduce exactly to univariate root
-finding: eliminating the eigenvalue from the two contraction components
-leaves a single binary form whose real root directions carry all
-eigenvectors.  Roots come from companion-matrix eigenvalues, so the
+finding.  Z- and H-pairs both solve A x^{m-1} = lam x^{[p]} with
+sum x_i^m0 = 1 (p = 1, m0 = 2 for Z; p = m-1 and an even m0 for H; see
+:class:`EigenSystem`).  Eliminating lam from the two components leaves
+the binary form x2^p (A x^{m-1})_1 - x1^p (A x^{m-1})_2, whose real root
+directions carry all eigenvectors.  Roots come from companion-matrix eigenvalues, so the
 result is complete up to numerical precision, and every returned pair is
 re-verified against the defining equations.
 """
@@ -96,50 +98,21 @@ def _collect(system, candidates):
             for lam, vs in groups]
 
 
-def brute_z_n2(A):
-    """All real Z-eigenpairs of a 2-dimensional tensor.
+def _brute_n2(kind, A):
+    """All real eigenpairs of one kind of a 2-dimensional tensor.
 
-    The eigenvector directions are the real roots of
-    x2*(A x^{m-1})_1 - x1*(A x^{m-1})_2, dehomogenized at x1 = 1, plus the
-    x1 = 0 branch; both unit representatives of each direction are tested.
+    The eliminant, of degree m-1+p, is dehomogenized at x1 = 1; the x1 = 0
+    branch is tested apart.  Both representatives of each root direction
+    under the normalization sum x_i^m0 = 1 are candidates.
     """
     if A.dim != 2:
         raise ValueError(f"oracle requires dimension 2, got {A.dim}")
-    system = EigenSystem("Z", A)
+    system = EigenSystem(kind, A)
     P = tensor_to_poly_vector(A)
     x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    elim = x2 * P[0] - x1 * P[1]
+    elim = x2 ** system.p * P[0] - x1 ** system.p * P[1]
     try:
-        roots = companion_roots(_binary_form_coeffs(elim, A.order))
-    except IdenticallyZeroError:
-        return OracleResult(eigenpairs=[], complete=False,
-                            note="identically zero eliminant: continuum")
-    candidates = []
-    for t in roots:
-        u = np.array([1.0, t]) / np.hypot(1.0, t)
-        candidates.extend([u, -u])
-    scale = np.max(np.abs(A.entries)) or 1.0
-    if abs(P[0].evaluate(np.array([0.0, 1.0]))) <= 1e-10 * scale:
-        candidates.extend([np.array([0.0, 1.0]), np.array([0.0, -1.0])])
-    return OracleResult(eigenpairs=_collect(system, candidates), complete=True)
-
-
-def brute_h_n2(A):
-    """All real H-eigenpairs of a 2-dimensional tensor.
-
-    Directions are roots of x2^{m-1}*(A x^{m-1})_1 - x1^{m-1}*(A x^{m-1})_2,
-    a binary form of degree 2(m-1); representatives are scaled to the even
-    power-sum normalization.
-    """
-    if A.dim != 2:
-        raise ValueError(f"oracle requires dimension 2, got {A.dim}")
-    system = EigenSystem("H", A)
-    m = A.order
-    P = tensor_to_poly_vector(A)
-    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    elim = x2 ** (m - 1) * P[0] - x1 ** (m - 1) * P[1]
-    try:
-        roots = companion_roots(_binary_form_coeffs(elim, 2 * (m - 1)))
+        roots = companion_roots(_binary_form_coeffs(elim, A.order - 1 + system.p))
     except IdenticallyZeroError:
         return OracleResult(eigenpairs=[], complete=False,
                             note="identically zero eliminant: continuum")
@@ -151,3 +124,13 @@ def brute_h_n2(A):
     if abs(P[0].evaluate(np.array([0.0, 1.0]))) <= 1e-10 * scale:
         candidates.extend([np.array([0.0, 1.0]), np.array([0.0, -1.0])])
     return OracleResult(eigenpairs=_collect(system, candidates), complete=True)
+
+
+def brute_z_n2(A):
+    """All real Z-eigenpairs (p = 1, m0 = 2) of a 2-dimensional tensor."""
+    return _brute_n2("Z", A)
+
+
+def brute_h_n2(A):
+    """All real H-eigenpairs (p = m-1, even m0) of a 2-dimensional tensor."""
+    return _brute_n2("H", A)

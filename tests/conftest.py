@@ -1,4 +1,7 @@
 import os
 import sys
 
-sys.path.insert(0, os.path.dirname(__file__))
+HERE = os.path.dirname(os.path.abspath(__file__))
+# the checkout's own package first, so a plain `pytest` tests this tree
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
+sys.path.insert(0, HERE)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -60,8 +61,9 @@ def test_system_residual_identity_on_variety():
     # any solution of the defining equations is an eigenpair at value f(u)
     from tensorspectra.oracle import brute_h_n2, brute_z_n2
 
-    for seed in (901, 902):
-        A = fixtures.random_tensor(3, 2, seed=seed)
+    # m = 3, 4, 5 give H-systems with p - 1 = 1, 2, 3 and m0 - p = 0, 1, 0
+    for m, seed in itertools.product((3, 4, 5), (901, 902)):
+        A = fixtures.random_tensor(m, 2, seed=seed)
         for kind, oracle in (("Z", brute_z_n2), ("H", brute_h_n2)):
             system = EigenSystem(kind, A)
             res = oracle(A)
@@ -72,8 +74,8 @@ def test_system_residual_identity_on_variety():
 
 
 def test_jacobian_matches_finite_differences():
-    for kind in ("Z", "H"):
-        A = fixtures.random_tensor(4, 3, seed=42)
+    for m, kind in itertools.product((3, 4, 5), ("Z", "H")):
+        A = fixtures.random_tensor(m, 3, seed=42)
         system = EigenSystem(kind, A)
         rng = np.random.default_rng(5)
         lam = 0.7
