@@ -133,11 +133,7 @@ def build_parser():
 
 
 def _sweep_options(args):
-    if args.delta <= args.delta_min:
-        raise ValueError("delta must exceed delta-min")
-    for name in ("delta", "delta_min", "tol_res", "tol_eq", "tol_dedup", "rank_tol"):
-        if getattr(args, name) <= 0:
-            raise ValueError(f"{name.replace('_', '-')} must be positive")
+    """The sweep options of the flags; SweepOptions raises ValueError on bad ones."""
     return SweepOptions(
         delta0=args.delta, delta_min=args.delta_min,
         kmax_offset=args.kmax_offset, eps_res=args.tol_res,

@@ -13,6 +13,13 @@ Persistent failure of that check is the signature of a continuum of
 eigenvalues, reported as such rather than as a certified complete
 spectrum.
 
+Both hierarchies run through one order loop, and every relaxation result
+the sweep reads passes one gate there: an optimal or infeasible result
+only once :func:`verify_solution` has re-checked it against the problem
+data, an inaccurate one only with its residuals and gap within 1e-5.  The
+relaxation value is always c.y of the returned moments, recomputed from
+the problem data, never the objective the solver reports.
+
 Once the check passes at order k, the shifted minimization over the gap
 starts at order k or above: below it, that relaxation tends to return the
 gap's boundary value lam_i + delta and escalate anyway.  Backward checks
@@ -22,13 +29,12 @@ starting them higher costs large relaxations on the H fixtures.
 Every H system and every even-order Z system is unchanged under u -> -u,
 so its relaxations are built over the even-degree moments only (see
 :mod:`momentsdp`); each solution is lifted back to the full moment vector,
-odd moments at zero, before flat truncation and extraction read it.  Each
-certificate is still verified against the relaxation handed to the
-solver.
+odd moments at zero, before flat truncation and extraction read it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -73,6 +79,24 @@ class SweepOptions:
     max_steps: int = 64
     solver: object = None   # callable (problem, SolverOptions) -> ConicSolution
     solver_options: SolverOptions = field(default_factory=SolverOptions)
+
+    def __post_init__(self):
+        """Reject, with a ValueError, options no sweep can run with."""
+        reals = ("delta0", "delta_min", "delta_shrink", "eps_res", "eps_eq",
+                 "eps_dedup", "tau_rank", "tau_jac")
+        for name in reals:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        for name in ("delta0", "delta_min", "eps_res", "eps_eq", "eps_dedup", "tau_rank"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.delta0 <= self.delta_min:
+            raise ValueError("delta0 must exceed delta_min")
+        if self.delta_shrink <= 1:
+            raise ValueError("delta_shrink must exceed 1")
+        for name in ("kmax_offset", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     def solve(self, problem):
         fn = self.solver or sdpsolver.solve
@@ -250,9 +274,32 @@ class StepResult:
     outcome: str                 # found | no-eigenvalue | no-more | non-isolated | unresolved
     pair: Eigenpair | None = None
     certificate: dict | None = None
-    delta_used: float | None = None
     reason: str = ""
-    bound: float | None = None   # best relaxation bound when unresolved
+
+
+# how a sweep ends on each step outcome other than "found"
+_ENDINGS = {"no-eigenvalue": Termination.CERTIFIED_COMPLETE,
+            "no-more": Termination.CERTIFIED_COMPLETE,
+            "non-isolated": Termination.CONTINUUM_SUSPECTED,
+            "unresolved": Termination.BUDGET}
+
+
+def _merit(sol):
+    """The largest of a solution's primal residual, dual residual and gap."""
+    return max(sol.metrics.get(name, 1.0)
+               for name in ("primal_residual", "dual_residual", "gap"))
+
+
+def _distinct(vectors):
+    """Indices of the distinct vectors, in rounded lexicographic order.
+
+    A vector within VEC_DEDUP_TOL of one kept before it is a duplicate.
+    """
+    kept = []
+    for i in sorted(range(len(vectors)), key=lambda i: tuple(np.round(vectors[i], 12))):
+        if all(np.linalg.norm(vectors[i] - vectors[j]) > VEC_DEDUP_TOL for j in kept):
+            kept.append(i)
+    return kept
 
 
 class _Driver:
@@ -262,9 +309,7 @@ class _Driver:
         self.log = []
         self.sdp_solves = 0
         self.ipm_iterations = 0
-        self.base_ineqs = []
-        if opts.nonneg:
-            self.base_ineqs = [system.f]
+        self.base_ineqs = [system.f] if opts.nonneg else []
         # relaxation order that last certified, per problem family; later
         # steps start there (an infeasible or flat order stays so upward)
         self._warm = {}
@@ -274,100 +319,96 @@ class _Driver:
     def _record(self, **kw):
         self.log.append(kw)
 
-    def _try_extract(self, y, k, weight_sum_tol):
-        """Flat truncation and extraction, escalating the rank threshold.
+    def _orders(self, family, build, ineqs, phase, delta=None):
+        """Solve one family's relaxations order by order; yield the usable ones.
 
-        Clustered spectra put singular values arbitrarily close to any
-        fixed rank cutoff; coarser cutoffs see the cluster as one atom.
-        The reconstruction residual gate inside extraction keeps coarse
-        readings honest.
+        The orders run from the family's warm start ("min" or "max") to
+        k0 + kmax_offset.  One gate decides what a caller may read: an
+        OPTIMAL or PRIMAL_INFEASIBLE result only once verify_solution passes
+        it, an INACCURATE one only when its primal and dual residuals and
+        its gap are all within 1e-5.  Yields (k, problem, solution, report,
+        value): report is verify_solution's (None when INACCURATE), value
+        the relaxation value +-c.y recomputed from the problem data (None
+        when infeasible), whatever objective the solver reported.
         """
-        tau = self.opts.tau_rank
-        taus = [tau]
-        while tau < 1e-3:
-            tau *= 10.0
-            taus.append(min(tau, 1e-3))
+        sys_, opts = self.system, self.opts
+        kmax = sys_.k0 + opts.kmax_offset
+        for k in range(min(self._warm.get(family, sys_.k0), kmax), kmax + 1):
+            prob = build(sys_.f, sys_.h, ineqs, k, store=self._relaxations)
+            sol = opts.solve(prob)
+            self.sdp_solves += 1
+            self.ipm_iterations += sol.iterations
+            sign = -1.0 if prob.maximize else 1.0
+            value = None if sol.y is None else float(sign * (prob.c @ sol.y))
+            entry = {"phase": phase, "k": k, "N": prob.num_vars,
+                     "p": prob.eq_rows.shape[0],
+                     "sides": [blk.side for blk in prob.blocks],
+                     "status": sol.status.value, "iterations": sol.iterations}
+            if value is not None:
+                entry["value"] = value
+            if delta is not None:
+                entry["delta"] = float(delta)
+            self._record(**entry)
+            report = None
+            if sol.status in (SolveStatus.OPTIMAL, SolveStatus.PRIMAL_INFEASIBLE):
+                report = verify_solution(prob, sol)
+                if not report["ok"]:
+                    self._record(phase=phase, k=k,
+                                 note=f"unverified {sol.status.value} result ignored")
+                    continue
+            elif sol.status is not SolveStatus.INACCURATE or _merit(sol) > 1e-5:
+                continue
+            yield k, prob, sol, report, value
+
+    def _atoms(self, prob, sol, k, ineqs):
+        """Verified eigenpairs extracted from a usable solution, or None.
+
+        Flat truncation and extraction escalate the rank threshold:
+        clustered spectra put singular values arbitrarily close to any
+        fixed cutoff, and coarser cutoffs see the cluster as one atom.  The
+        reconstruction residual gate inside extraction keeps coarse
+        readings honest, and the polish, residual and value gates after it
+        do the hard verification, so weight sums only need to be sane.
+        None when nothing extracts, else the list of :meth:`_verified_atoms`.
+        """
+        y = prob.lift(sol.y)
+        wtol = 1e-4 if sol.status is SolveStatus.OPTIMAL else 1e-3
+        taus = [self.opts.tau_rank]
+        while taus[-1] < 1e-3:
+            taus.append(min(10.0 * taus[-1], 1e-3))
         for tau in taus:
             t = flat_truncation(y, self.system.k0, k, tau)
             if t is None:
                 continue
             try:
-                measure = extract_atoms(y, t, tau, self.opts.seed,
-                                        weight_sum_tol=weight_sum_tol)
+                measure = extract_atoms(y, t, tau, self.opts.seed, weight_sum_tol=wtol)
             except ExtractionError as exc:
                 self._record(phase="extract", k=k, tau_rank=tau,
                              note=f"extraction failed: {exc}")
                 continue
-            return measure
+            return self._verified_atoms(measure.points, k, ineqs)
         return None
 
-    def _solve(self, problem, phase, k, delta=None):
-        sol = self.opts.solve(problem)
-        self.sdp_solves += 1
-        self.ipm_iterations += sol.iterations
-        entry = {"phase": phase, "k": k, "N": problem.num_vars,
-                 "p": problem.eq_rows.shape[0],
-                 "sides": [blk.side for blk in problem.blocks],
-                 "status": sol.status.value, "iterations": sol.iterations}
-        if sol.objective is not None:
-            entry["value"] = float(sol.objective)
-        if delta is not None:
-            entry["delta"] = float(delta)
-        self._record(**entry)
-        return sol
-
-    def _min_hierarchy(self, extra_ineqs, phase, delta=None):
+    def _min_hierarchy(self, extra_ineqs, phase, infeasible, delta=None):
         """Escalate the minimization relaxation until certified or exhausted.
 
-        Returns one of
-          ('infeasible', certificate)
-          ('found', Eigenpair)
-          ('unresolved', best_bound)
+        The step ends "found" with an eigenpair, with the outcome
+        ``infeasible`` and a certificate, or "unresolved".
         """
-        sys_, opts = self.system, self.opts
-        best_bound = None
-        kmax = sys_.k0 + opts.kmax_offset
-        start = min(self._warm.get("min", sys_.k0), kmax)
-        for k in range(start, kmax + 1):
-            prob = build_min_relaxation(sys_.f, sys_.h,
-                                        self.base_ineqs + extra_ineqs, k,
-                                        store=self._relaxations)
-            sol = self._solve(prob, phase, k, delta)
-            if sol.status == SolveStatus.PRIMAL_INFEASIBLE:
-                report = verify_solution(prob, sol)
-                if report["ok"]:
-                    return ("infeasible", {"k": k, "certificate": sol.certificate,
-                                           "report": report})
-                self._record(phase=phase, k=k, note="unverified infeasibility ignored")
+        ineqs = self.base_ineqs + extra_ineqs
+        for k, prob, sol, report, value in self._orders(
+                "min", build_min_relaxation, ineqs, phase, delta):
+            if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
+                return StepResult(
+                    outcome=infeasible, reason=f"{phase} relaxation infeasible at k={k}",
+                    certificate={"k": k, "certificate": sol.certificate, "report": report})
+            pair = self._accept_atoms(self._atoms(prob, sol, k, ineqs), k, value)
+            if pair is None:
                 continue
-            if sol.status in (SolveStatus.OPTIMAL, SolveStatus.INACCURATE):
-                if sol.status == SolveStatus.OPTIMAL:
-                    report = verify_solution(prob, sol)
-                    usable = report["ok"]
-                else:
-                    usable = max(sol.metrics.get("primal_residual", 1.0),
-                                 sol.metrics.get("dual_residual", 1.0)) <= 1e-5
-                if not usable:
-                    continue
-                if best_bound is None or sol.objective > best_bound:
-                    best_bound = sol.objective
-                y = prob.lift(sol.y)
-                # polish + residual + value gates below do the hard
-                # verification; weight sums only need to be sane
-                wtol = 1e-4 if sol.status == SolveStatus.OPTIMAL else 1e-3
-                measure = self._try_extract(y, k, wtol)
-                if measure is None:
-                    continue
-                pair = self._accept_atoms(measure.points, k,
-                                          self.base_ineqs + extra_ineqs,
-                                          sol.objective)
-                if pair is None:
-                    self._record(phase=phase, k=k,
-                                 note="atoms failed the residual gate")
-                    continue
-                self._warm["min"] = max(self.system.k0, k - 1)
-                return ("found", pair)
-        return ("unresolved", best_bound)
+            self._warm["min"] = max(self.system.k0, k - 1)
+            return StepResult(outcome="found", pair=pair)
+        return StepResult(outcome="unresolved",
+                          reason="no flat truncation or certificate within order budget")
 
     def _backward_check(self, lam_i, delta):
         """Confirm no eigenvalue hides in (lam_i, lam_i + delta].
@@ -381,48 +422,31 @@ class _Driver:
         Returns (passed, nu, atoms): nu is the best upper bound or None, or,
         with atoms, the largest verified eigenvalue at or below the cap.
         """
-        sys_, opts = self.system, self.opts
-        thresh = min(opts.eps_eq, 0.5 * delta)
+        sys_ = self.system
+        thresh = min(self.opts.eps_eq, 0.5 * delta)
         ineqs = self.base_ineqs + [Polynomial.constant(sys_.n, lam_i + delta) - sys_.f]
         best = None
-        kmax = sys_.k0 + opts.kmax_offset
-        start = min(self._warm.get("max", sys_.k0), kmax)
-        for k in range(start, kmax + 1):
-            prob = build_max_relaxation(sys_.f, sys_.h, ineqs, k,
-                                        store=self._relaxations)
-            sol = self._solve(prob, "backward-max", k, delta)
-            if sol.status == SolveStatus.PRIMAL_INFEASIBLE:
+        for k, prob, sol, _report, value in self._orders(
+                "max", build_max_relaxation, ineqs, "backward-max", delta):
+            if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
                 # cannot happen below a cap above a true eigenvalue
                 self._record(phase="backward-max", k=k,
                              note="unexpected infeasibility in backward check")
                 continue
-            if sol.status not in (SolveStatus.OPTIMAL, SolveStatus.INACCURATE):
-                continue
-            resid = max(sol.metrics.get("primal_residual", 1.0),
-                        sol.metrics.get("dual_residual", 1.0),
-                        sol.metrics.get("gap", 1.0))
-            if sol.status == SolveStatus.INACCURATE and resid > 1e-5:
-                continue
-            slack = 10.0 * resid * (1.0 + abs(sol.objective))
-            bound = float(sol.objective + slack)
+            bound = value + 10.0 * _merit(sol) * (1.0 + abs(value))
             if best is None or bound < best:
                 best = bound
             if bound <= lam_i + thresh:
                 return self._passed(k, bound, False)
             # flat + verified atoms pin the true maximum below the bound
-            y = prob.lift(sol.y)
-            wtol = 1e-4 if sol.status == SolveStatus.OPTIMAL else 1e-3
-            measure = self._try_extract(y, k, wtol)
-            if measure is None:
-                continue
-            atoms = self._verified_atoms(measure.points, k, ineqs)
+            atoms = self._atoms(prob, sol, k, ineqs)
             if not atoms:
                 continue
             nu_atoms = max(lam for lam, _, _ in atoms)
             self._record(phase="backward-max", k=k, nu_atoms=float(nu_atoms))
-            if abs(nu_atoms - lam_i) <= thresh and sol.objective - nu_atoms <= thresh:
+            if abs(nu_atoms - lam_i) <= thresh and value - nu_atoms <= thresh:
                 return self._passed(k, nu_atoms, True)
-            consistent = sol.objective - nu_atoms <= 1e-3 * (1.0 + abs(nu_atoms))
+            consistent = value - nu_atoms <= 1e-3 * (1.0 + abs(nu_atoms))
             if consistent and nu_atoms > lam_i + thresh:
                 # a genuine eigenvalue sits inside the gap; the next gap ends
                 # below it, and this order already sees it
@@ -475,15 +499,18 @@ class _Driver:
             pairs.append((lam, v, res))
         return pairs
 
-    def _accept_atoms(self, points, k, ineqs, sdp_value):
-        """Verified eigenpairs at one value, or None.
+    def _accept_atoms(self, pairs, k, sdp_value):
+        """One eigenpair from the verified (lam, v, residual) pairs, or None.
 
-        The polished eigenvalue must reproduce the relaxation optimum, which
-        flat truncation guarantees for a genuinely converged order.
+        ``pairs`` is None when nothing was extracted.  The polished
+        eigenvalue must reproduce the relaxation optimum, which flat
+        truncation guarantees for a genuinely converged order.
         """
         sys_, opts = self.system, self.opts
-        pairs = self._verified_atoms(points, k, ineqs)
+        if pairs is None:
+            return None
         if not pairs:
+            self._record(phase="accept", k=k, note="atoms failed the residual gate")
             return None
         # keep the cluster at the smallest eigenvalue; stragglers belong to
         # a nearby larger one and will be found in later steps
@@ -495,28 +522,17 @@ class _Driver:
                          note=f"eigenvalue disagrees with relaxation optimum "
                               f"{sdp_value:.8f}; order not converged")
             return None
-        vectors, residuals = [], []
-        for lam, v, res in sorted(cluster, key=lambda p: tuple(np.round(p[1], 12))):
-            if any(np.linalg.norm(v - w) <= VEC_DEDUP_TOL for w in vectors):
-                continue
-            vectors.append(v)
-            residuals.append(res)
+        kept = [cluster[i] for i in _distinct([v for _, v, _ in cluster])]
+        vectors = [v for _, v, _ in kept]
         isolated = all(
             check_isolated(sys_, None, value_out, v, opts.tau_jac) == "isolated"
             for v in vectors)
         return Eigenpair(kind=sys_.kind, value=value_out, vectors=vectors,
-                         residual=float(max(residuals)), isolated=isolated,
-                         order_used=k)
+                         residual=float(max(res for _, _, res in kept)),
+                         isolated=isolated, order_used=k)
 
     def smallest(self):
-        result = self._min_hierarchy([], "smallest-min")
-        if result[0] == "infeasible":
-            return StepResult(outcome="no-eigenvalue", certificate=result[1],
-                              reason=f"relaxation infeasible at k={result[1]['k']}")
-        if result[0] == "unresolved":
-            return StepResult(outcome="unresolved", bound=result[1],
-                              reason="no flat truncation or certificate within order budget")
-        return StepResult(outcome="found", pair=result[1])
+        return self._min_hierarchy([], "smallest-min", "no-eigenvalue")
 
     def next_after(self, lam_i):
         opts = self.opts
@@ -534,28 +550,16 @@ class _Driver:
             else:
                 delta /= opts.delta_shrink
             if delta < opts.delta_min:
-                return StepResult(outcome="non-isolated", delta_used=delta,
+                return StepResult(outcome="non-isolated",
                                   reason="delta exhausted with eigenvalues still "
                                          "inside every gap")
         shift = self.system.f - (lam_i + delta)
-        result = self._min_hierarchy([shift], "shifted-min", delta)
-        if result[0] == "infeasible":
-            return StepResult(outcome="no-more", certificate=result[1],
-                              delta_used=delta,
-                              reason=f"shifted relaxation infeasible at k={result[1]['k']}")
-        if result[0] == "unresolved":
-            return StepResult(outcome="unresolved", bound=result[1], delta_used=delta,
-                              reason="no flat truncation within order budget")
-        return StepResult(outcome="found", pair=result[1], delta_used=delta)
+        return self._min_hierarchy([shift], "shifted-min", "no-more", delta)
 
 
 def smallest_eigenvalue(kind, A, opts=None):
     """First step of the sweep: smallest eigenvalue or a no-eigenvalue proof."""
-    opts = opts or SweepOptions()
-    driver = _Driver(EigenSystem(kind, A), opts)
-    out = driver.smallest()
-    out.reason = out.reason or ""
-    return out
+    return _Driver(EigenSystem(kind, A), opts or SweepOptions()).smallest()
 
 
 def next_eigenvalue(kind, A, lam_i, delta=None, opts=None):
@@ -563,8 +567,7 @@ def next_eigenvalue(kind, A, lam_i, delta=None, opts=None):
     opts = opts or SweepOptions()
     if delta is not None:
         opts = replace(opts, delta0=delta)
-    driver = _Driver(EigenSystem(kind, A), opts)
-    return driver.next_after(float(lam_i))
+    return _Driver(EigenSystem(kind, A), opts).next_after(float(lam_i))
 
 
 def full_sweep(kind, A, opts=None):
@@ -573,43 +576,26 @@ def full_sweep(kind, A, opts=None):
     system = EigenSystem(kind, A)
     driver = _Driver(system, opts)
     pairs = []
-    termination = Termination.BUDGET
     final_certificate = None
 
-    first = driver.smallest()
-    if first.outcome == "no-eigenvalue":
-        termination = Termination.CERTIFIED_COMPLETE
-        final_certificate = first.certificate
-    elif first.outcome == "unresolved":
-        termination = Termination.BUDGET
-        driver._record(phase="sweep", note=first.reason)
-    else:
-        pairs.append(first.pair)
-        for _ in range(opts.max_steps):
-            step = driver.next_after(pairs[-1].value)
-            if step.outcome == "found":
-                new = step.pair
-                if new.value - pairs[-1].value <= opts.eps_dedup:
-                    merged = _merge_pairs(pairs[-1], new)
-                    pairs[-1] = merged
-                    driver._record(phase="sweep", note="merged rediscovered eigenvalue",
-                                   value=float(new.value))
-                    continue
-                pairs.append(new)
-                continue
-            if step.outcome == "no-more":
-                termination = Termination.CERTIFIED_COMPLETE
-                final_certificate = step.certificate
-            elif step.outcome == "non-isolated":
-                termination = Termination.CONTINUUM_SUSPECTED
-                driver._record(phase="sweep", note=step.reason)
-            else:
-                termination = Termination.BUDGET
+    # the first step finds the smallest eigenvalue, each later one the next
+    for _ in range(opts.max_steps + 1):
+        step = driver.next_after(pairs[-1].value) if pairs else driver.smallest()
+        if step.outcome != "found":
+            termination = _ENDINGS[step.outcome]
+            final_certificate = step.certificate
+            if final_certificate is None:
                 driver._record(phase="sweep", note=step.reason)
             break
+        if pairs and step.pair.value - pairs[-1].value <= opts.eps_dedup:
+            pairs[-1] = _merge_pairs(pairs[-1], step.pair)
+            driver._record(phase="sweep", note="merged rediscovered eigenvalue",
+                           value=float(step.pair.value))
         else:
-            termination = Termination.BUDGET
-            driver._record(phase="sweep", note="step budget exhausted")
+            pairs.append(step.pair)
+    else:
+        termination = Termination.BUDGET
+        driver._record(phase="sweep", note="step budget exhausted")
 
     if termination == Termination.CERTIFIED_COMPLETE and \
             any(not p.isolated for p in pairs):
@@ -640,12 +626,9 @@ def full_sweep(kind, A, opts=None):
 
 
 def _merge_pairs(a, b):
-    vectors = list(a.vectors)
-    for v in b.vectors:
-        if not any(np.linalg.norm(v - w) <= VEC_DEDUP_TOL for w in vectors):
-            vectors.append(v)
-    vectors.sort(key=lambda v: tuple(np.round(v, 12)))
-    return Eigenpair(kind=a.kind, value=a.value, vectors=vectors,
+    vectors = a.vectors + b.vectors
+    return Eigenpair(kind=a.kind, value=a.value,
+                     vectors=[vectors[i] for i in _distinct(vectors)],
                      residual=max(a.residual, b.residual),
                      isolated=a.isolated and b.isolated,
                      order_used=max(a.order_used, b.order_used))

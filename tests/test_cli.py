@@ -122,6 +122,26 @@ def test_bad_config_exit2(ex51_file, capsys):
     assert run(["zeig", ex51_file, "--delta", "1e-9"]) == 2
 
 
+def _no_sweep(*args):
+    pytest.fail("a sweep started with invalid options")
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--kmax-offset", "-1"],
+                                   ["--delta", "nan"], ["--delta", "inf"]])
+def test_invalid_option_exit2_before_any_sweep(ex51_file, capsys, monkeypatch, flags):
+    # at delta = nan a sweep never ends, so the test must not start one
+    monkeypatch.setattr("tensorspectra.cli.full_sweep", _no_sweep)
+    assert run(["zeig", ex51_file, *flags]) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_negative_env_seed_exit2(ex51_file, capsys, monkeypatch):
+    monkeypatch.setenv("TENSOR_SPECTRA_SEED", "-1")
+    monkeypatch.setattr("tensorspectra.cli.full_sweep", _no_sweep)
+    assert run(["zeig", ex51_file]) == 2
+    assert "seed must be" in capsys.readouterr().err
+
+
 def test_env_seed_override(ex51_file, capsys, monkeypatch):
     monkeypatch.setenv("TENSOR_SPECTRA_SEED", "11")
     assert run(["zeig", ex51_file, "--json", "--seed", "4"]) == 0

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from tensorspectra.driver import (EigenSystem, SweepOptions, Termination,
                                   h_system, next_eigenvalue, polish_eigenpair,
                                   smallest_eigenvalue, z_system)
 from tensorspectra.poly import Polynomial, tensor_to_poly
-from tensorspectra.sdpsolver import solve
+from tensorspectra.sdpsolver import SolveStatus, solve, verify_solution
 from tensorspectra.tensor import Tensor, identity_tensor
 
 
@@ -386,3 +387,44 @@ def test_relaxation_blocks_released_after_sweep():
     gc.collect()
     alive = sum(ref() is not None for ref in refs)
     assert refs and alive == 0, f"{alive} of {len(refs)} blocks still alive"
+
+
+@pytest.mark.parametrize("bad", [
+    {"delta0": float("nan")}, {"delta0": float("inf")}, {"delta_min": float("nan")},
+    {"eps_res": float("inf")}, {"tau_jac": float("nan")}, {"kmax_offset": -1},
+    {"seed": -1}, {"delta0": 1e-7}, {"eps_eq": 0.0}, {"delta_shrink": 1.0}])
+def test_sweep_options_reject_what_no_sweep_can_run_with(bad):
+    with pytest.raises(ValueError):
+        SweepOptions(**bad)
+
+
+def _false_objective(problem, sol):
+    return replace(sol, objective=-1e3)
+
+
+def _off_the_equalities(problem, sol):
+    if sol.status is not SolveStatus.OPTIMAL:
+        return sol
+    rows = problem.eq_rows
+    bad = replace(sol, y=sol.y + 1e-2 * (rows.T @ np.ones(rows.shape[0])))
+    assert not verify_solution(problem, bad)["checks"]["equalities"]
+    return bad
+
+
+@pytest.mark.parametrize("fault", [_false_objective, _off_the_equalities])
+def test_faulty_maximizations_never_certify_a_wrong_spectrum(fault):
+    # every relaxation result the sweep reads is re-checked from the problem
+    # data; a false backward bound once dropped ex56 Z's 2.06e-4 and still
+    # certified the rest
+    def solver(problem, options):
+        sol = solve(problem, options)
+        return fault(problem, sol) if problem.maximize else sol
+
+    A = fixtures.ex56()
+    honest = full_sweep("Z", A)
+    spec = full_sweep("Z", A, SweepOptions(solver=solver))
+    system = EigenSystem("Z", A)
+    for pair in spec.eigenpairs:
+        assert all(system.residual(pair.value, v) <= 1e-7 for v in pair.vectors)
+    if spec.termination == Termination.CERTIFIED_COMPLETE:
+        assert spec.values == pytest.approx(honest.values, abs=1e-8)
