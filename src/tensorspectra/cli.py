@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .driver import SweepOptions, Termination, full_sweep
@@ -62,17 +64,31 @@ def emit_json(spectrum, config=None):
     return "\n".join(out) + "\n"
 
 
-def _config_echo(args):
+def _json_value(x):
+    """JSON text of an option value: true/false, an integer or a real."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return str(x) if isinstance(x, int) else _fmt(x)
+
+
+def _config_echo(opts):
+    """Every option that shaped the run, as JSON text in a fixed order."""
+    solver = opts.solver_options
     return {
-        "delta0": _fmt(args.delta),
-        "delta_min": _fmt(args.delta_min),
-        "kmax_offset": int(args.kmax_offset),
-        "nonneg": "true" if args.nonneg else "false",
-        "tol_res": _fmt(args.tol_res),
-        "tol_eq": _fmt(args.tol_eq),
-        "tol_dedup": _fmt(args.tol_dedup),
-        "rank_tol": _fmt(args.rank_tol),
-        "seed": int(args.seed),
+        "delta0": _fmt(opts.delta0),
+        "delta_min": _fmt(opts.delta_min),
+        "kmax_offset": int(opts.kmax_offset),
+        "nonneg": _json_value(opts.nonneg),
+        "tol_res": _fmt(opts.eps_res),
+        "tol_eq": _fmt(opts.eps_eq),
+        "tol_dedup": _fmt(opts.eps_dedup),
+        "rank_tol": _fmt(opts.tau_rank),
+        "seed": int(opts.seed),
+        "delta_shrink": _fmt(opts.delta_shrink),
+        "tau_jac": _fmt(opts.tau_jac),
+        "max_steps": int(opts.max_steps),
+        "solver": "{" + ", ".join(f'"{f.name}": {_json_value(getattr(solver, f.name))}'
+                                  for f in fields(solver)) + "}",
     }
 
 
@@ -132,6 +148,12 @@ def build_parser():
     return parser
 
 
+# the flag that sets each SweepOptions field, for error messages
+_FLAGS = {"delta0": "--delta", "delta_min": "--delta-min", "kmax_offset": "--kmax-offset",
+          "eps_res": "--tol-res", "eps_eq": "--tol-eq", "eps_dedup": "--tol-dedup",
+          "tau_rank": "--rank-tol", "seed": "--seed"}
+
+
 def _sweep_options(args):
     """The sweep options of the flags; SweepOptions raises ValueError on bad ones."""
     return SweepOptions(
@@ -187,7 +209,10 @@ def run(argv=None):
     try:
         opts = _sweep_options(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # name what the user set: the flag, or the variable that set the seed
+        names = dict(_FLAGS, seed="TENSOR_SPECTRA_SEED") if env_seed is not None else _FLAGS
+        message = re.sub(r"\w+", lambda word: names.get(word[0], word[0]), str(exc))
+        print(f"error: {message}", file=sys.stderr)
         return 2
     if args.dump_sdp:
         opts.solver = _dumping_solver(args.dump_sdp)
@@ -198,7 +223,7 @@ def run(argv=None):
     exit_code = 0
     for spectrum in spectra:
         if args.json:
-            sys.stdout.write(emit_json(spectrum, config=_config_echo(args)))
+            sys.stdout.write(emit_json(spectrum, config=_config_echo(opts)))
         else:
             _print_text(spectrum)
         if spectrum.termination != Termination.CERTIFIED_COMPLETE:

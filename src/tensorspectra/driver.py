@@ -27,7 +27,8 @@ keep their own start order, one below the last order that passed;
 starting them higher costs large relaxations on the H fixtures.
 
 Every H system and every even-order Z system is unchanged under u -> -u,
-so its relaxations are built over the even-degree moments only (see
+so its relaxations are built over the even-degree moments only, with
+each large block split into its even- and odd-degree parts (see
 :mod:`momentsdp`); each solution is lifted back to the full moment vector,
 odd moments at zero, before flat truncation and extraction read it.
 """

@@ -17,16 +17,28 @@ system and every even-order Z system, with their caps and shifts, is.  Its
 relaxation then has an optimum with every odd-degree moment at zero (the
 average of y and its image under u -> -u), and infeasibility carries over
 the same way, so the relaxation is built over the even-degree moments
-only: the equality rows of even support, and the same blocks, each still
-whole, with its columns restricted to those moments.  The problem records
-the positions of its variables in the full moment vector and lifts a
-solution back with the odd moments at zero.  ex56 H at k = 6 shrinks from
-455 moments and 248 equality rows to 252 and 128.
+only: the equality rows of even support, and the same blocks with their
+columns restricted to those moments.  The problem records the positions
+of its variables in the full moment vector and lifts a solution back with
+the odd moments at zero.  ex56 H at k = 6 shrinks from 455 moments and
+248 equality rows to 252 and 128.
+
+Over the even-degree moments, cell (a, b) of a block of such a relaxation
+holds moments of degree deg a + deg b plus an even number, so it is empty
+unless the basis monomials a and b have the same degree parity.  Each
+block is then the direct sum of its even-degree and its odd-degree rows
+and columns, and it is PSD exactly when both parts are, so a block whose
+side is at least SPLIT_MIN_SIDE enters the relaxation as those two parts
+(ex56 H at k = 6: the moment block of side 84 as parts of 50 and 34).
+Each part records the rows of the whole basis it covers.  The split is
+checked when it is built: a cross-parity cell that holds a moment raises.
+Below that side the extra block costs the solver more per iteration than
+the smaller products save.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -35,6 +47,7 @@ import scipy.sparse
 from .poly import Polynomial, basis_size, monomials_upto
 
 EQ_RANK_TOL = 1e-10  # relative QR threshold for dropping dependent equality rows
+SPLIT_MIN_SIDE = 30  # smallest block side split by degree parity (module docstring)
 
 
 @dataclass(frozen=True)
@@ -78,7 +91,9 @@ class LocalizingStructure:
     ``matrix`` maps a moment vector (length ``num_moments``) to the
     flattened side*side localizing matrix.  With ``support``, the vector
     holds only the moments at those positions of the full moment vector;
-    without it, the first ``num_moments``.
+    without it, the first ``num_moments``.  With ``rows``, the matrix is
+    the principal submatrix on those rows of the whole basis (a parity
+    part, see the module docstring); without it, the whole matrix.
     """
 
     q: Polynomial
@@ -88,6 +103,13 @@ class LocalizingStructure:
     num_moments: int
     matrix: scipy.sparse.csr_matrix = field(repr=False)
     support: np.ndarray | None = field(default=None, repr=False)
+    rows: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def degrees(self):
+        """The degree of the basis monomial of each row."""
+        degrees = _degrees(self.n, self.k - (self.q.degree + 1) // 2)
+        return degrees if self.rows is None else degrees[self.rows]
 
 
 def localizing_structure(q, k, support=None):
@@ -262,10 +284,34 @@ def _parity(p):
     return parities.pop() if parities else 0
 
 
+def _degrees(n, d):
+    """The degree of each monomial of degree <= d, in the graded order."""
+    return np.repeat(np.arange(d + 1), np.diff([0] + [basis_size(n, j) for j in range(d + 1)]))
+
+
 def _even_moments(n, k):
     """Positions of the moments of even degree <= 2k in the graded order."""
-    return np.concatenate([np.arange(basis_size(n, d - 1) if d else 0, basis_size(n, d))
-                           for d in range(0, 2 * k + 1, 2)])
+    return np.flatnonzero(_degrees(n, 2 * k) % 2 == 0)
+
+
+def _parity_parts(s):
+    """A block of a sign-invariant relaxation as its even and odd parts.
+
+    Blocks with side below SPLIT_MIN_SIDE stay whole.  Raises ValueError
+    when a cell joining an even and an odd row holds a moment: the block
+    is then not the direct sum of its parts.
+    """
+    if s.side < SPLIT_MIN_SIDE:
+        return [s]
+    odd = s.degrees % 2 == 1
+    cell_sizes = np.diff(s.matrix.indptr).reshape(s.side, s.side)
+    if cell_sizes[odd[:, None] != odd[None, :]].any():
+        raise ValueError(f"an order-{s.k} block of side {s.side} has a cross-parity moment")
+    parts = []
+    for rows in (np.flatnonzero(~odd), np.flatnonzero(odd)):
+        cells = (rows[:, None] * s.side + rows).ravel()
+        parts.append(replace(s, side=len(rows), matrix=s.matrix[cells], rows=rows))
+    return parts
 
 
 def _build_relaxation(f, eqs, ineqs, k, maximize, store, reduce=True):
@@ -285,15 +331,17 @@ def _build_relaxation(f, eqs, ineqs, k, maximize, store, reduce=True):
     c = f.coefficient_vector(2 * k)
     if invariant:
         c = c[support]
+    parts = _parity_parts if invariant else (lambda s: [s])
     store = {} if store is None else store
     if (k, invariant) not in store:
         store[k, invariant] = (
-            moment_structure(n, k, support),
+            parts(moment_structure(n, k, support)),
             _equality_system(eqs, k, c.shape[0], support))
-    moment, (eq_rows, eq_rhs, farkas_mu) = store[k, invariant]
+    moments, (eq_rows, eq_rhs, farkas_mu) = store[k, invariant]
 
-    blocks = [moment]
-    blocks.extend(localizing_structure(g, k, support) for g in ineqs)
+    blocks = list(moments)
+    for g in ineqs:
+        blocks.extend(parts(localizing_structure(g, k, support)))
     return ConicProblem(n=n, k=k, c=c, eq_rows=eq_rows, eq_rhs=eq_rhs,
                         blocks=blocks, maximize=maximize, farkas_mu=farkas_mu,
                         support=support)
@@ -303,8 +351,8 @@ def build_min_relaxation(f, eqs, ineqs, k, store=None):
     """Order-k moment relaxation of minimizing f over {eqs = 0, ineqs >= 0}.
 
     ``store``, a dict shared only by relaxations with the same eqs, keeps
-    the moment structure and the reduced equality system per order k (and
-    per sign invariance, see the module docstring).
+    the moment block (or its parity parts) and the reduced equality system
+    per order k (and per sign invariance, see the module docstring).
     """
     return _build_relaxation(f, eqs, ineqs, k, False, store)
 
@@ -323,7 +371,8 @@ def dump_problem(problem):
     """Plain-text dump: objective, equality triplets, block sizes.
 
     A relaxation over part of the moments also lists the positions of its
-    variables in the graded monomial order.
+    variables in the graded monomial order, and tags each parity part of a
+    block with its parity (``22:even 34:odd``).
     """
     out = []
     sense = "max" if problem.maximize else "min"
@@ -339,5 +388,7 @@ def dump_problem(problem):
         nz = np.nonzero(problem.eq_rows[r])[0]
         cells = " ".join(f"{i}:{problem.eq_rows[r, i]!r}" for i in nz)
         out.append(f"eq {r} rhs {problem.eq_rhs[r]!r} {cells}")
-    out.append("blocks " + " ".join(str(b.side) for b in problem.blocks))
+    out.append("blocks " + " ".join(
+        str(b.side) if b.rows is None else f"{b.side}:{('even', 'odd')[b.degrees[0] % 2]}"
+        for b in problem.blocks))
     return "\n".join(out) + "\n"

@@ -32,7 +32,14 @@ symmetric eigenvalue call per scaled matrix, with no factorization of S or
 Z.  A direction that is not finite gets step 0, which ends the solve with
 its best iterate.  The top-degree moments are the problem's
 ``top_degree`` variables, so a relaxation over part of the moments needs
-no branch here.
+no branch here.  Nor does one whose blocks are split by degree parity
+(see :mod:`momentsdp`): the solver sees more, smaller blocks, each with
+its own NT scaling, and a block-diagonal matrix is PSD exactly when each
+of its diagonal blocks is, so :func:`verify_solution` checks the same
+conditions part by part.  The scaling of the projected operators and
+the Schur products cost in proportion to the sum of the squared block
+sides: 50² + 34² = 3656 for the parts of ex56 H's moment block at k = 6,
+against 84² = 7056 whole.
 
 The relaxations are small (a few dozen moments on n = 2 tensors), so the
 iteration is bound by per-call overhead rather than arithmetic.  Each

@@ -6,11 +6,14 @@ import sys
 import numpy as np
 import pytest
 
+from dataclasses import fields
+
 import fixtures
 import tensorspectra
 from tensorspectra.cli import build_parser, emit_json, run
 from tensorspectra.driver import full_sweep
 from tensorspectra.poly import monomials_upto
+from tensorspectra.sdpsolver import SolverOptions
 from tensorspectra.tensor import serialize_tensor
 
 
@@ -67,6 +70,13 @@ def test_json_output_schema(ex51_file, capsys):
     assert list(row.keys()) == ["value", "vectors", "residual", "isolated", "order"]
     assert row["value"] == pytest.approx(23.0, abs=5e-4)
     assert doc["termination"] == "certified-complete"
+    # every sweep and solver option, the solver's in their dataclass order
+    assert list(doc["config"]) == ["delta0", "delta_min", "kmax_offset", "nonneg",
+                                   "tol_res", "tol_eq", "tol_dedup", "rank_tol", "seed",
+                                   "delta_shrink", "tau_jac", "max_steps", "solver"]
+    assert doc["config"]["solver"] == {f.name: getattr(SolverOptions(), f.name)
+                                       for f in fields(SolverOptions)}
+    assert doc["config"]["max_steps"] == 64 and doc["config"]["delta_shrink"] == 5.0
 
 
 def test_json_empty_spectrum(ex13_file, capsys):
@@ -122,6 +132,15 @@ def test_bad_config_exit2(ex51_file, capsys):
     assert run(["zeig", ex51_file, "--delta", "1e-9"]) == 2
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--tol-res", "0"], "--tol-res must be positive"),
+    (["--delta", "1e-9"], "--delta must exceed --delta-min")])
+def test_invalid_option_error_names_the_flag(ex51_file, capsys, monkeypatch, flags, message):
+    monkeypatch.setattr("tensorspectra.cli.full_sweep", _no_sweep)
+    assert run(["zeig", ex51_file, *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _no_sweep(*args):
     pytest.fail("a sweep started with invalid options")
 
@@ -139,7 +158,7 @@ def test_negative_env_seed_exit2(ex51_file, capsys, monkeypatch):
     monkeypatch.setenv("TENSOR_SPECTRA_SEED", "-1")
     monkeypatch.setattr("tensorspectra.cli.full_sweep", _no_sweep)
     assert run(["zeig", ex51_file]) == 2
-    assert "seed must be" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: TENSOR_SPECTRA_SEED must be >= 0\n"
 
 
 def test_env_seed_override(ex51_file, capsys, monkeypatch):
@@ -181,6 +200,22 @@ def test_dump_sdp_writes_files(ex13_file, tmp_path, capsys):
     want = [i for i, mono in enumerate(monomials_upto(n, 2 * k)) if sum(mono) % 2 == 0]
     assert support.split() == ["support"] + [str(i) for i in want]
     assert int(fields["vars"]) == len(want)
+
+
+def test_dump_sdp_tags_parity_parts(tmp_path, capsys):
+    # ex54(4) H: the moment block of side 35 at k = 3 enters as its even and
+    # odd parts (11 and 24 rows); the smaller blocks stay whole
+    path = tmp_path / "ex54.tsr"
+    path.write_text(serialize_tensor(fixtures.ex54(4)))
+    dump_dir = tmp_path / "dumps"
+    assert run(["heig", str(path), "--dump-sdp", str(dump_dir)]) == 0
+    capsys.readouterr()
+    lines = set()
+    for name in sorted(os.listdir(dump_dir)):
+        text = (dump_dir / name).read_text()
+        lines.update(line for line in text.splitlines() if line.startswith("blocks "))
+    assert "blocks 11:even 24:odd 15" in lines
+    assert "blocks 15" in lines
 
 
 def test_parser_rejects_unknown_mode():

@@ -1,14 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse
 
 import fixtures
-from tensorspectra.driver import h_system, z_system
-from tensorspectra.momentsdp import (MomentVector, _build_relaxation, _parity,
-                                     assemble_matrix, build_max_relaxation,
-                                     build_min_relaxation, dump_problem,
-                                     localizing_structure, moment_structure,
-                                     moment_vector_of_point)
+from tensorspectra import Tensor, momentsdp
+from tensorspectra.driver import EigenSystem, h_system, z_system
+from tensorspectra.momentsdp import (SPLIT_MIN_SIDE, MomentVector, _build_relaxation,
+                                     _parity, _parity_parts, assemble_matrix,
+                                     build_max_relaxation, build_min_relaxation,
+                                     dump_problem, localizing_structure,
+                                     moment_structure, moment_vector_of_point)
 from tensorspectra.poly import (Polynomial, basis_size, moment_index_table,
                                 monomials_upto, rank_table)
 from tensorspectra.sdpsolver import ConicSolution, SolveStatus, solve, verify_solution
@@ -325,6 +328,43 @@ def _both(f, hs, ineqs, k, maximize):
             _build_relaxation(f, hs, ineqs, k, maximize, None, reduce=False))
 
 
+def _parts_of(red, full):
+    """Each whole block of the full relaxation, with the reduced blocks it became.
+
+    The reduced blocks come in order: a whole block, or the even and the
+    odd part of one, whose rows then partition the whole basis.
+    """
+    blocks = iter(red.blocks)
+    for whole in full.blocks:
+        parts = [next(blocks)]
+        while parts[0].rows is not None and sum(p.side for p in parts) < whole.side:
+            parts.append(next(blocks))
+        yield whole, parts
+    assert next(blocks, None) is None
+
+
+def _assert_parts_embed(red, full):
+    """Each reduced block is the principal submatrix of its whole block on
+    its rows, with the columns of the support.  A parity part holds no odd
+    moment, and the cells of a split block outside its parts hold only
+    odd ones."""
+    kept = np.isin(full.support, red.support)
+    for whole, parts in _parts_of(red, full):
+        covered = np.zeros((whole.side, whole.side), dtype=bool)
+        for part in parts:
+            rows = np.arange(whole.side) if part.rows is None else part.rows
+            cells = (rows[:, None] * whole.side + rows).ravel()
+            sub = whole.matrix[cells]
+            assert (sub[:, kept] != part.matrix).nnz == 0
+            if part.rows is not None:
+                assert np.all(part.degrees % 2 == part.degrees[0] % 2)
+                assert sub[:, ~kept].nnz == 0
+            covered[np.ix_(rows, rows)] = True
+        assert covered.diagonal().all()
+        assert sum(p.side for p in parts) == whole.side
+        assert whole.matrix[np.flatnonzero(~covered.ravel())][:, kept].nnz == 0
+
+
 @pytest.mark.parametrize("name,kind,k,shift,cap,top", _INVARIANT,
                          ids=[f"{c[0]}-{c[1]}" for c in _INVARIANT])
 def test_reduced_relaxation_matches_full(name, kind, k, shift, cap, top):
@@ -334,7 +374,7 @@ def test_reduced_relaxation_matches_full(name, kind, k, shift, cap, top):
         red, full = _both(f if not maximize else f.scale(-1.0), hs, ineqs, k, maximize)
         assert red.num_vars < full.num_vars
         assert np.array_equal(red.support, _even_positions(f.n, k))
-        assert [b.side for b in red.blocks] == [b.side for b in full.blocks]
+        _assert_parts_embed(red, full)
         a, b = solve(red), solve(full)
         assert a.status == b.status == SolveStatus.OPTIMAL
         # within the IPM's own gap test: 1e-8 relative to 1 + |value|
@@ -350,8 +390,10 @@ def _lift_certificate(red, full, cert):
 
     The unit row <1, y> = 1 keeps its multiplier, the localizing rows of
     odd support get zero, and those of even support reproduce the reduced
-    localizing rows' combination (both sets span the same rows).  Each
-    block dual loses its cross-parity cells: a pinching, so it stays PSD.
+    localizing rows' combination (both sets span the same rows).  The
+    duals of a block's parity parts are re-embedded at their rows of the
+    whole block; a whole block's dual loses its cross-parity cells.  Both
+    are pinchings of a PSD matrix, so they stay PSD.
     """
     odd = np.setdiff1d(np.arange(full.num_vars), red.support)
     even_loc = ~np.any(full.eq_rows[:, odd] != 0, axis=1)
@@ -360,12 +402,21 @@ def _lift_certificate(red, full, cert):
     mu[0] = cert["mu"][0]
     mu[even_loc] = np.linalg.lstsq(full.eq_rows[even_loc][:, red.support].T,
                                    red.eq_rows[1:].T @ cert["mu"][1:], rcond=None)[0]
-    blocks = []
-    for blk, Z in zip(red.blocks, cert["blocks"]):
-        basis = monomials_upto(blk.n, blk.k - (blk.q.degree + 1) // 2)
-        parity = np.array([sum(m) % 2 for m in basis])
-        blocks.append(Z * (parity[:, None] == parity[None, :]))
-    return {"mu": mu, "blocks": blocks}
+    return {"mu": mu, "blocks": _embed_duals(red, full, cert["blocks"])}
+
+
+def _embed_duals(red, full, duals):
+    """The block duals of ``red`` as duals of the whole blocks of ``full``."""
+    duals = iter(duals)
+    embedded = []
+    for whole, parts in _parts_of(red, full):
+        parity = whole.degrees % 2
+        Z = np.zeros((whole.side, whole.side))
+        for part in parts:
+            rows = np.arange(whole.side) if part.rows is None else part.rows
+            Z[np.ix_(rows, rows)] = next(duals)
+        embedded.append(Z * (parity[:, None] == parity[None, :]))
+    return embedded
 
 
 @pytest.mark.parametrize("name,kind,k,shift,cap,top", _INVARIANT + [
@@ -458,3 +509,76 @@ def test_lift_and_top_degree_follow_the_support():
     # a reduced block reads a full moment vector through its support
     for blk in prob.blocks:
         assert np.array_equal(assemble_matrix(blk, full), assemble_matrix(blk, y))
+
+
+def _random_h43():
+    return Tensor(np.random.default_rng((4, 3, 5)).standard_normal((3, 3, 3, 3)))
+
+
+# H systems whose moment block is split: ex54(4) (whole side 35 at k = 3)
+# and a random m = 4, n = 3 tensor (35 at k = 4, 56 at k = 5), each with
+# its largest H-eigenvalue
+_SPLIT = [("ex54(4)", lambda: fixtures.ex54(4), 3, 5.9245),
+          ("random-m4-n3", _random_h43, 4, 4.0258)]
+
+
+@pytest.mark.parametrize("make,k,top", [c[1:] for c in _SPLIT], ids=[c[0] for c in _SPLIT])
+def test_split_relaxation_matches_whole_blocks(make, k, top, monkeypatch):
+    # the minimization, then the shift above the largest eigenvalue order by
+    # order until infeasible: each with its moment block split and whole
+    f, hs, _m0 = h_system(make())
+    for ineqs in ([], [f - (top + 0.1)]):
+        for order in range(k, k + 3):
+            split = build_min_relaxation(f, hs, ineqs, order)
+            with monkeypatch.context() as patch:
+                patch.setattr(momentsdp, "SPLIT_MIN_SIDE", math.inf)
+                whole = build_min_relaxation(f, hs, ineqs, order)
+            assert split.blocks[0].rows is not None
+            assert all(blk.rows is None for blk in whole.blocks)
+            _assert_parts_embed(split, whole)
+            a, b = solve(split), solve(whole)
+            assert a.status == b.status
+            if a.status is SolveStatus.PRIMAL_INFEASIBLE:
+                break
+            assert a.status is SolveStatus.OPTIMAL
+            assert abs(a.objective - b.objective) <= 1e-8 * (1.0 + abs(b.objective))
+            if not ineqs:
+                break
+    assert a.status is SolveStatus.PRIMAL_INFEASIBLE
+    assert verify_solution(split, a)["ok"]
+    cert = {"mu": a.certificate["mu"],
+            "blocks": _embed_duals(split, whole, a.certificate["blocks"])}
+    report = verify_solution(whole, ConicSolution(status=SolveStatus.PRIMAL_INFEASIBLE,
+                                                  certificate=cert))
+    assert report["ok"], report
+
+
+def test_split_only_large_blocks_of_invariant_relaxations():
+    # the n = 2 relaxations of random tensors up to three orders above the
+    # base order, shifted, and odd-order Z with a moment block of side 35
+    cases = []
+    for m in (3, 4):
+        A = fixtures.random_tensor(m, 2, seed=7)
+        for kind in ("Z", "H"):
+            system = EigenSystem(kind, A)
+            cases += [(system.f, system.h, [system.f - 0.5], k)
+                      for k in range(system.k0, system.k0 + 4)]
+    f, hs = z_system(fixtures.ex53())
+    cases.append((f, hs, [f], 4))
+    split = 0
+    for f, hs, ineqs, k in cases:
+        prob = build_min_relaxation(f, hs, ineqs, k)
+        invariant = prob.num_vars < basis_size(f.n, 2 * k)
+        for whole, parts in _parts_of(prob, _build_relaxation(f, hs, ineqs, k, False, None,
+                                                             reduce=False)):
+            assert len(parts) == (2 if invariant and whole.side >= SPLIT_MIN_SIDE else 1)
+            split += len(parts) == 2
+    assert prob.blocks[0].side == 35 and prob.blocks[0].rows is None
+    assert split
+
+
+def test_split_refuses_a_block_with_cross_parity_moments():
+    # over every moment, the cells joining even and odd rows hold odd moments
+    with pytest.raises(ValueError, match="cross-parity"):
+        _parity_parts(moment_structure(3, 4))
+    assert len(_parity_parts(moment_structure(3, 4, _even_positions(3, 4)))) == 2

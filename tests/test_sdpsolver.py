@@ -219,8 +219,9 @@ def test_non_finite_direction_gets_no_step(Ds):
 
 
 def _parity_problems():
-    # ex56 H shifted relaxation at order 5 (sides 56, 20) and the ex53 Z
-    # nonneg max relaxation with its cap (sides 35, 10, 10)
+    # ex56 H shifted relaxation at order 5 (the moment block of side 56 as
+    # parity parts of 22 and 34, the shift block of side 20 whole) and the
+    # ex53 Z nonneg max relaxation with its cap (sides 35, 10, 10)
     f, hs, _m0 = h_system(fixtures.ex56())
     yield build_min_relaxation(f, hs, [f - 0.05], 5)
     f, hs = z_system(fixtures.ex53())
@@ -243,7 +244,7 @@ def test_workspace_operators_match_block_matrices(prob):
         assert np.max(np.abs(adj - want)) <= 1e-13 * np.max(np.abs(want))
         lhs = sum(np.sum(M * X) for M, X in zip(got, Xs))
         assert lhs == pytest.approx(v @ adj, rel=1e-13)
-    assert [blk.side for blk in prob.blocks] in ([56, 20], [35, 10, 10])
+    assert [blk.side for blk in prob.blocks] in ([22, 34, 20], [35, 10, 10])
 
 
 @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
