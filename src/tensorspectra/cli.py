@@ -13,18 +13,38 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import fields
 
 from . import __version__
 from .driver import SweepOptions, Termination, full_sweep
 from .momentsdp import dump_problem
-from .sdpsolver import SolverOptions
 from .tensor import TensorFormatError, parse_tensor
 
 
 def _fmt(x, sig=12):
     """Shortest fixed-significance decimal; stable across runs."""
     return f"{float(x):.{sig}g}"
+
+
+# Every SweepOptions field the command line sets: (field, flag, type, help).
+# This table builds the parser, the options, the config echo and the flag
+# names of error messages; each default is the field's own.
+_OPTIONS = (
+    ("delta0", "--delta", float, "initial step gap between eigenvalues"),
+    ("delta_min", "--delta-min", float, "smallest gap before suspecting a continuum"),
+    ("kmax_offset", "--kmax-offset", int, "extra relaxation orders above the base order"),
+    ("nonneg", "--nonneg", bool, "restrict the Z sweep to nonnegative eigenvalues"),
+    ("eps_res", "--tol-res", float, "eigenpair residual tolerance"),
+    ("eps_eq", "--tol-eq", float, "backward-check equality tolerance"),
+    ("eps_dedup", "--tol-dedup", float, "eigenvalue deduplication tolerance"),
+    ("tau_rank", "--rank-tol", float, "numerical rank threshold for flat truncation"),
+    ("seed", "--seed", int, "seed for the extraction randomization"),
+)
+_FLAGS = {name: flag for name, flag, _, _ in _OPTIONS}
+
+
+def _key(flag):
+    """A flag's argparse destination, also its key in the config echo."""
+    return flag[2:].replace("-", "_")
 
 
 def emit_json(spectrum, config=None):
@@ -73,23 +93,7 @@ def _json_value(x):
 
 def _config_echo(opts):
     """Every option that shaped the run, as JSON text in a fixed order."""
-    solver = opts.solver_options
-    return {
-        "delta0": _fmt(opts.delta0),
-        "delta_min": _fmt(opts.delta_min),
-        "kmax_offset": int(opts.kmax_offset),
-        "nonneg": _json_value(opts.nonneg),
-        "tol_res": _fmt(opts.eps_res),
-        "tol_eq": _fmt(opts.eps_eq),
-        "tol_dedup": _fmt(opts.eps_dedup),
-        "rank_tol": _fmt(opts.tau_rank),
-        "seed": int(opts.seed),
-        "delta_shrink": _fmt(opts.delta_shrink),
-        "tau_jac": _fmt(opts.tau_jac),
-        "max_steps": int(opts.max_steps),
-        "solver": "{" + ", ".join(f'"{f.name}": {_json_value(getattr(solver, f.name))}'
-                                  for f in fields(solver)) + "}",
-    }
+    return {_key(flag): _json_value(getattr(opts, name)) for name, flag, _, _ in _OPTIONS}
 
 
 def _print_text(spectrum, file=None):
@@ -123,24 +127,10 @@ def build_parser():
     parser.add_argument("mode", choices=["zeig", "heig", "both"],
                         help="which eigenvalue kind(s) to compute")
     parser.add_argument("file", help="tensor file (see README for the format)")
-    parser.add_argument("--delta", type=float, default=0.05,
-                        help="initial step gap between eigenvalues")
-    parser.add_argument("--delta-min", type=float, default=1e-6,
-                        help="smallest gap before suspecting a continuum")
-    parser.add_argument("--kmax-offset", type=int, default=3,
-                        help="extra relaxation orders above the base order")
-    parser.add_argument("--nonneg", action="store_true",
-                        help="restrict the Z sweep to nonnegative eigenvalues")
-    parser.add_argument("--tol-res", type=float, default=1e-7,
-                        help="eigenpair residual tolerance")
-    parser.add_argument("--tol-eq", type=float, default=1e-4,
-                        help="backward-check equality tolerance")
-    parser.add_argument("--tol-dedup", type=float, default=1e-6,
-                        help="eigenvalue deduplication tolerance")
-    parser.add_argument("--rank-tol", type=float, default=1e-6,
-                        help="numerical rank threshold for flat truncation")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the extraction randomization")
+    defaults = SweepOptions()
+    for name, flag, kind, text in _OPTIONS:
+        how = {"action": "store_true"} if kind is bool else {"type": kind}
+        parser.add_argument(flag, default=getattr(defaults, name), help=text, **how)
     parser.add_argument("--json", action="store_true",
                         help="emit the machine-readable report")
     parser.add_argument("--dump-sdp", metavar="DIR", default=None,
@@ -148,20 +138,9 @@ def build_parser():
     return parser
 
 
-# the flag that sets each SweepOptions field, for error messages
-_FLAGS = {"delta0": "--delta", "delta_min": "--delta-min", "kmax_offset": "--kmax-offset",
-          "eps_res": "--tol-res", "eps_eq": "--tol-eq", "eps_dedup": "--tol-dedup",
-          "tau_rank": "--rank-tol", "seed": "--seed"}
-
-
 def _sweep_options(args):
     """The sweep options of the flags; SweepOptions raises ValueError on bad ones."""
-    return SweepOptions(
-        delta0=args.delta, delta_min=args.delta_min,
-        kmax_offset=args.kmax_offset, eps_res=args.tol_res,
-        eps_eq=args.tol_eq, eps_dedup=args.tol_dedup,
-        tau_rank=args.rank_tol, seed=args.seed, nonneg=args.nonneg,
-        solver_options=SolverOptions())
+    return SweepOptions(**{name: getattr(args, _key(flag)) for name, flag, _, _ in _OPTIONS})
 
 
 def _dumping_solver(directory):

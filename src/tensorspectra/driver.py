@@ -31,12 +31,21 @@ so its relaxations are built over the even-degree moments only, with
 each large block split into its even- and odd-degree parts (see
 :mod:`momentsdp`); each solution is lifted back to the full moment vector,
 odd moments at zero, before flat truncation and extraction read it.
+
+:class:`SweepOptions` holds the method's inputs: the step gap delta0 and
+its floor delta_min, the order budget kmax_offset, the residual, equality,
+dedup and rank tolerances, the extraction seed, ``nonneg`` and the solver
+hook.  What no caller varies is a module constant: DELTA_SHRINK divides a
+gap whose check failed, TAU_JAC decides isolation, MAX_STEPS caps the
+eigenvalues of one sweep, and POLISH_MAX_ITER, POLISH_TOL, PRE_POLISH_TOL
+and VEC_DEDUP_TOL bound Newton polishing and vector deduplication.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -49,7 +58,12 @@ from .sdpsolver import SolveStatus, SolverOptions, verify_solution
 from .tensor import contract_partial
 
 PRE_POLISH_TOL = 1e-3    # defining-equation residual allowed into polishing
+POLISH_MAX_ITER = 50     # Newton steps of one polish
+POLISH_TOL = 1e-13       # polished residual, relative to 1 + |lam|
 VEC_DEDUP_TOL = 1e-5     # eigenvectors closer than this are the same vector
+DELTA_SHRINK = 5.0       # a failed backward check divides the step gap by this
+TAU_JAC = 1e-6           # least relative Jacobian singular value of an isolated pair
+MAX_STEPS = 64           # eigenvalues one sweep may find before it ends "budget"
 
 
 class Kind(Enum):
@@ -68,40 +82,33 @@ class Termination(Enum):
 class SweepOptions:
     delta0: float = 0.05
     delta_min: float = 1e-6
-    delta_shrink: float = 5.0
     kmax_offset: int = 3
     eps_res: float = 1e-7
     eps_eq: float = 1e-4
     eps_dedup: float = 1e-6
     tau_rank: float = 1e-6
-    tau_jac: float = 1e-6
     seed: int = 0
     nonneg: bool = False
-    max_steps: int = 64
     solver: object = None   # callable (problem, SolverOptions) -> ConicSolution
-    solver_options: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
         """Reject, with a ValueError, options no sweep can run with."""
-        reals = ("delta0", "delta_min", "delta_shrink", "eps_res", "eps_eq",
-                 "eps_dedup", "tau_rank", "tau_jac")
-        for name in reals:
+        for name in ("delta0", "delta_min", "eps_res", "eps_eq", "eps_dedup", "tau_rank"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        for name in ("delta0", "delta_min", "eps_res", "eps_eq", "eps_dedup", "tau_rank"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.delta0 <= self.delta_min:
             raise ValueError("delta0 must exceed delta_min")
-        if self.delta_shrink <= 1:
-            raise ValueError("delta_shrink must exceed 1")
         for name in ("kmax_offset", "seed"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+            if value < 0:
                 raise ValueError(f"{name} must be >= 0")
 
     def solve(self, problem):
-        fn = self.solver or sdpsolver.solve
-        return fn(problem, self.solver_options)
+        return (self.solver or sdpsolver.solve)(problem, SolverOptions())
 
 
 @dataclass
@@ -217,13 +224,14 @@ class EigenSystem:
         return J
 
 
-def polish_eigenpair(kind, A, lam, u, max_iter=50, target=1e-13):
+def polish_eigenpair(kind, A, lam, u):
     """Newton refinement of an approximate eigenpair on F(lam, x) = 0.
 
     Returns (lam, u, polished).  Near-singular Jacobians fall back to
     minimum-norm least-squares steps, which still converge onto a solution
-    manifold; if the iteration diverges or stalls above the target, the
-    best point seen is returned with polished=False.
+    manifold.  The iteration runs at most POLISH_MAX_ITER steps toward a
+    residual of POLISH_TOL * (1 + |lam|); if it diverges or stalls above
+    that target, the best point seen is returned with polished=False.
     """
     system = kind if isinstance(kind, EigenSystem) else EigenSystem(kind, A)
     lam = float(lam)
@@ -232,10 +240,10 @@ def polish_eigenpair(kind, A, lam, u, max_iter=50, target=1e-13):
     Fv = system.F(lam, x)
     nrm = np.max(np.abs(Fv))
     best = (lam, x.copy(), nrm)
-    for _ in range(max_iter):
+    for _ in range(POLISH_MAX_ITER):
         if nrm < best[2]:
             best = (lam, x.copy(), nrm)
-        if nrm <= target * scale:
+        if nrm <= POLISH_TOL * scale:
             return lam, x, True
         J = system.jacobian(lam, x)
         sv = np.linalg.svd(J, compute_uv=False)
@@ -251,21 +259,22 @@ def polish_eigenpair(kind, A, lam, u, max_iter=50, target=1e-13):
         if nrm > 10.0 * max(prev, 1e-12):
             break
     lam, x, nrm = best
-    if nrm <= target * scale:
+    if nrm <= POLISH_TOL * scale:
         return lam, x, True
     return float(lam), x, False
 
 
-def check_isolated(kind, A, lam, u, tau_jac=1e-6):
+def check_isolated(kind, A, lam, u):
     """'isolated' when the eigenpair Jacobian is well-conditioned.
 
-    One-directional: a near-singular Jacobian yields 'inconclusive', never
+    Well-conditioned: its smallest singular value exceeds TAU_JAC times its
+    largest.  One-directional: a near-singular Jacobian yields 'inconclusive', never
     a claim of non-isolation.
     """
     system = kind if isinstance(kind, EigenSystem) else EigenSystem(kind, A)
     sv = np.linalg.svd(system.jacobian(lam, np.asarray(u, dtype=float)),
                        compute_uv=False)
-    if sv[0] > 0 and sv[-1] > tau_jac * sv[0]:
+    if sv[0] > 0 and sv[-1] > TAU_JAC * sv[0]:
         return "isolated"
     return "inconclusive"
 
@@ -526,7 +535,7 @@ class _Driver:
         kept = [cluster[i] for i in _distinct([v for _, v, _ in cluster])]
         vectors = [v for _, v, _ in kept]
         isolated = all(
-            check_isolated(sys_, None, value_out, v, opts.tau_jac) == "isolated"
+            check_isolated(sys_, None, value_out, v) == "isolated"
             for v in vectors)
         return Eigenpair(kind=sys_.kind, value=value_out, vectors=vectors,
                          residual=float(max(res for _, _, res in kept)),
@@ -547,9 +556,9 @@ class _Driver:
                 break
             if atoms:
                 # for a continuum nu sits at the cap and the shrink decides
-                delta = min(delta / opts.delta_shrink, (nu - lam_i) / 2.0)
+                delta = min(delta / DELTA_SHRINK, (nu - lam_i) / 2.0)
             else:
-                delta /= opts.delta_shrink
+                delta /= DELTA_SHRINK
             if delta < opts.delta_min:
                 return StepResult(outcome="non-isolated",
                                   reason="delta exhausted with eigenvalues still "
@@ -563,12 +572,9 @@ def smallest_eigenvalue(kind, A, opts=None):
     return _Driver(EigenSystem(kind, A), opts or SweepOptions()).smallest()
 
 
-def next_eigenvalue(kind, A, lam_i, delta=None, opts=None):
+def next_eigenvalue(kind, A, lam_i, opts=None):
     """Next eigenvalue above a certified one, or a proof there is none."""
-    opts = opts or SweepOptions()
-    if delta is not None:
-        opts = replace(opts, delta0=delta)
-    return _Driver(EigenSystem(kind, A), opts).next_after(float(lam_i))
+    return _Driver(EigenSystem(kind, A), opts or SweepOptions()).next_after(float(lam_i))
 
 
 def full_sweep(kind, A, opts=None):
@@ -580,7 +586,7 @@ def full_sweep(kind, A, opts=None):
     final_certificate = None
 
     # the first step finds the smallest eigenvalue, each later one the next
-    for _ in range(opts.max_steps + 1):
+    for _ in range(MAX_STEPS + 1):
         step = driver.next_after(pairs[-1].value) if pairs else driver.smallest()
         if step.outcome != "found":
             termination = _ENDINGS[step.outcome]
@@ -588,7 +594,7 @@ def full_sweep(kind, A, opts=None):
             if final_certificate is None:
                 driver._record(phase="sweep", note=step.reason)
             break
-        if pairs and step.pair.value - pairs[-1].value <= opts.eps_dedup:
+        if pairs and abs(step.pair.value - pairs[-1].value) <= opts.eps_dedup:
             pairs[-1] = _merge_pairs(pairs[-1], step.pair)
             driver._record(phase="sweep", note="merged rediscovered eigenvalue",
                            value=float(step.pair.value))

@@ -22,6 +22,7 @@ from .poly import basis_size, moment_index_table, monomials_upto, rank_table
 RECON_TOL = 1e-4          # accepted reconstruction residual (inf-norm)
 WEIGHT_SUM_TOL = 1e-6     # extracted weights must sum to 1 within this
 MAX_REDRAWS = 5           # attempts at a separating random combination
+RANK_FLOOR = 1e-6         # rank thresholds scale with max(largest singular value, this)
 
 
 class ExtractionError(RuntimeError):
@@ -45,13 +46,13 @@ class AtomicMeasure:
         return np.array([c for _, c in self.atoms])
 
 
-def numerical_rank(M, tau_rank, tau_abs=1e-6):
-    """Singular values above tau_rank * max(largest, tau_abs) count as rank."""
+def numerical_rank(M, tau_rank):
+    """Singular values above tau_rank * max(largest, RANK_FLOOR) count as rank."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0
     s = scipy.linalg.svdvals(M)
-    thresh = tau_rank * max(s[0], tau_abs)
+    thresh = tau_rank * max(s[0], RANK_FLOOR)
     return int(np.sum(s > thresh))
 
 

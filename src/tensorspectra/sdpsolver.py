@@ -53,6 +53,14 @@ A solve that ends without converging returns its best iterate, with
 ``iterations`` the steps it ran and ``best_iteration`` the step count at
 that iterate.
 
+The iteration's tolerances are module constants: EPS_FEAS and EPS_GAP
+define an optimum, TAU_KAPPA_TOL an infeasibility ray, STATIC_REG
+regularizes the reduced system, STEP_FRAC damps each step, and
+INACCURATE_TOL separates an INACCURATE best iterate from an
+ITERATION_LIMIT one.  :func:`verify_solution` checks with VERIFY_FEAS and
+VERIFY_PSD.  :class:`SolverOptions` holds only the iteration budget
+``max_iter``.
+
 Primal infeasibility is certified, never guessed: a returned dual ray
 (mu, Z_j) satisfies G^T mu + sum_j adj_j(Z_j) = 0, Z_j PSD, b.mu > 0,
 which is checkable by :func:`verify_solution` from the problem data alone.
@@ -76,16 +84,19 @@ class SolveStatus(Enum):
     ITERATION_LIMIT = "iteration-limit"
 
 
+EPS_FEAS = 1e-8          # relative primal and dual residual of an optimum
+EPS_GAP = 1e-8           # relative duality gap of an optimum
+TAU_KAPPA_TOL = 1e-8     # tau below this times max(1, kappa) shows a ray
+STATIC_REG = 1e-10       # diagonal regularization of the reduced system
+STEP_FRAC = 0.98         # fraction of the step to the cone boundary taken
+INACCURATE_TOL = 1e-4    # merit of a best iterate still reported INACCURATE
+VERIFY_FEAS = 1e-6       # verify_solution's feasibility tolerance
+VERIFY_PSD = 1e-7        # verify_solution's eigenvalue tolerance
+
+
 @dataclass
 class SolverOptions:
-    eps_feas: float = 1e-8
-    eps_gap: float = 1e-8
     max_iter: int = 200
-    tau_kappa_tol: float = 1e-8
-    static_reg: float = 1e-10
-    step_frac: float = 0.98
-    inaccurate_tol: float = 1e-4
-    verbose: bool = False
 
 
 @dataclass
@@ -212,7 +223,7 @@ def solve(problem, options=None):
     # Equality rows that touch no moment of the top degree 2k are eliminated
     # exactly: with G_h^T = [Q_h B] [R_h; 0], every step is dy = y_p + B z
     # where G_h y_p is fixed.  The rows that do touch one stay as constraints
-    # whose multipliers carry static_reg; at a rank-deficient optimum they
+    # whose multipliers carry STATIC_REG; at a rank-deficient optimum they
     # pin the moments the relaxation leaves free, and eliminating them too
     # stalls the iteration on ill-posed relaxations (ex55 H, k = 5).
     soft = np.any(ws.G[:, problem.top_degree] != 0, axis=1)
@@ -271,7 +282,7 @@ def solve(problem, options=None):
         if best is None or merit < best[0]:
             best = (merit, y / tau, mu / tau, [Zj / tau for Zj in Z], metrics)
 
-        if pres <= opts.eps_feas and dres <= opts.eps_feas and relgap <= opts.eps_gap:
+        if pres <= EPS_FEAS and dres <= EPS_FEAS and relgap <= EPS_GAP:
             return ConicSolution(
                 status=SolveStatus.OPTIMAL, y=y / tau,
                 objective=float(sign * pobj),
@@ -279,36 +290,36 @@ def solve(problem, options=None):
                 metrics=metrics)
 
         # residual blow-up past the best point means numerics are exhausted
-        if merit > 1e3 * best[0] and best[0] < opts.inaccurate_tol:
+        if merit > 1e3 * best[0] and best[0] < INACCURATE_TOL:
             break
 
         # infeasibility rays become visible as tau collapses against kappa
         bmu = ws.b @ mu
         cert_scale = np.linalg.norm(mu) + sum(np.linalg.norm(Zj) for Zj in Z)
-        if bmu > opts.eps_feas * cert_scale:
+        if bmu > EPS_FEAS * cert_scale:
             farkas = np.max(np.abs(ws.G.T @ mu + ws.adjoint(Z)))
-            strong = farkas <= 1e-2 * opts.eps_feas * ws.opscale * cert_scale
-            if (tau <= opts.tau_kappa_tol * max(1.0, kappa) or strong) and \
-                    farkas <= opts.eps_feas * ws.opscale * cert_scale:
+            strong = farkas <= 1e-2 * EPS_FEAS * ws.opscale * cert_scale
+            if (tau <= TAU_KAPPA_TOL * max(1.0, kappa) or strong) and \
+                    farkas <= EPS_FEAS * ws.opscale * cert_scale:
                 scale = 1.0 / bmu
                 cert = {"mu": mu * scale, "blocks": [Zj * scale for Zj in Z]}
                 metrics["reason"] = "tau-kappa-collapse" if not strong else "strong-certificate"
                 return ConicSolution(status=SolveStatus.PRIMAL_INFEASIBLE,
                                      certificate=cert, metrics=metrics)
         cy = ws.c @ y
-        if cy < -opts.eps_feas * max(1.0, np.linalg.norm(y)) and \
-                tau <= opts.tau_kappa_tol * max(1.0, kappa):
+        if cy < -EPS_FEAS * max(1.0, np.linalg.norm(y)) and \
+                tau <= TAU_KAPPA_TOL * max(1.0, kappa):
             ray = y / (-cy)
             ray_scale = max(1.0, np.max(np.abs(ray)))
             ray_eq = np.max(np.abs(ws.G @ ray))
             ray_psd = min(scipy.linalg.eigvalsh(M)[0] for M in ws.apply(ray))
-            if ray_eq <= opts.eps_feas * ws.opscale * ray_scale and \
-                    ray_psd >= -opts.eps_feas * ray_scale:
+            if ray_eq <= EPS_FEAS * ws.opscale * ray_scale and \
+                    ray_psd >= -EPS_FEAS * ray_scale:
                 return ConicSolution(status=SolveStatus.DUAL_INFEASIBLE,
                                      certificate={"ray": ray}, metrics=metrics)
 
         # Nesterov-Todd scalings and the reduced system
-        #   K = [[B^T Phi B, -(G_s B)^T], [G_s B, 0]] + static_reg I,
+        #   K = [[B^T Phi B, -(G_s B)^T], [G_s B, 0]] + STATIC_REG I,
         # where Phi v = sum_j adj_j(W_j^-1 mat_j(v) W_j^-1), W_j^-1 = Rinv^T Rinv
         try:
             scalings = [_nt_scaling(Sj, Zj) for Sj, Zj in zip(S, Z)]
@@ -324,7 +335,7 @@ def solve(problem, options=None):
             K[:m, :m] += V @ V.T
         K[:m, m:] = -GsB.T
         K[m:, :m] = GsB
-        K.flat[::K.shape[0] + 1] += opts.static_reg
+        K.flat[::K.shape[0] + 1] += STATIC_REG
         lu, piv, info = lapack.dgetrf(K)
         if info != 0:        # an exactly zero pivot: treat as a failed factorization
             break
@@ -348,14 +359,14 @@ def solve(problem, options=None):
             """dy = y_p + B z, dmu_s and b.dmu from the reduced system.
 
             B^T (Phi dy - G_s^T dmu_s) = -B^T q1 and G_s dy = t1_s, each row
-            regularized as in K; one refinement step takes out static_reg.
+            regularized as in K; one refinement step takes out STATIC_REG.
             Then G_h^T dmu_h = q1 + Phi dy - G_s^T dmu_s, and as G_h y0 = b_h,
             b_h.dmu_h = y0.(q1 + Phi dy - G_s^T dmu_s).
             """
             y_p, phi_p, y0_phi_p, t1_s = part
             rhs = np.concatenate([-(B.T @ q1) - phi_p, t1_s - G_s @ y_p])
             u = lapack.dgetrs(lu, piv, rhs)[0]
-            u += lapack.dgetrs(lu, piv, rhs - K @ u + opts.static_reg * u)[0]
+            u += lapack.dgetrs(lu, piv, rhs - K @ u + STATIC_REG * u)[0]
             z, dmu_s = u[:m], u[m:]
             b_dmu = y0 @ q1 + y0_phi_p + phi0 @ z + b_dmu_s @ dmu_s
             return y_p + B @ z, dmu_s, b_dmu
@@ -464,7 +475,7 @@ def solve(problem, options=None):
             dirs = refine(dirs, t1, t2s, t3, t4, Es, d_tk)
         dy, dmu, dS, dZ, dtau, dkappa, Ds, Dz = dirs
 
-        alpha = opts.step_frac * max_step(Ds, Dz, dtau, dkappa)
+        alpha = STEP_FRAC * max_step(Ds, Dz, dtau, dkappa)
         alpha = min(alpha, 1.0)
         if not np.isfinite(alpha) or alpha <= 0.0:
             break
@@ -478,9 +489,6 @@ def solve(problem, options=None):
         tau += alpha * dtau
         kappa += alpha * dkappa
         steps += 1
-        if opts.verbose:
-            print(f"  it {it:3d} pres {pres:9.2e} dres {dres:9.2e} "
-                  f"gap {relgap:9.2e} tau {tau:9.2e} kappa {kappa:9.2e} a {alpha:.3f}")
         tiny_steps = tiny_steps + 1 if alpha < 1e-4 else 0
         if tiny_steps >= 3:
             break
@@ -491,13 +499,13 @@ def solve(problem, options=None):
                              metrics={"iterations": 0})
     merit, yb, mub, Zb, metrics = best
     metrics = dict(metrics, iterations=steps, best_iteration=metrics["iterations"])
-    status = SolveStatus.INACCURATE if merit <= opts.inaccurate_tol \
+    status = SolveStatus.INACCURATE if merit <= INACCURATE_TOL \
         else SolveStatus.ITERATION_LIMIT
     return ConicSolution(status=status, y=yb, objective=float(sign * (ws.c @ yb)),
                          eq_duals=mub, block_duals=Zb, metrics=metrics)
 
 
-def verify_solution(problem, sol, eps_feas=1e-6, eps_psd=1e-7):
+def verify_solution(problem, sol):
     """Recompute residuals and certificate conditions from the problem data.
 
     Returns a dict of named boolean checks plus measured values; ``ok``
@@ -510,21 +518,21 @@ def verify_solution(problem, sol, eps_feas=1e-6, eps_psd=1e-7):
     if sol.status in (SolveStatus.OPTIMAL, SolveStatus.INACCURATE):
         y = sol.y
         eq_res = np.max(np.abs(ws.G @ y - ws.b)) if ws.p else 0.0
-        checks["equalities"] = eq_res <= eps_feas * ws.normb
+        checks["equalities"] = eq_res <= VERIFY_FEAS * ws.normb
         report["eq_residual"] = float(eq_res)
         min_eigs = [float(scipy.linalg.eigvalsh(M)[0]) for M in ws.apply(y)]
         report["block_min_eigs"] = min_eigs
-        checks["psd"] = all(e >= -eps_psd * max(1.0, abs(e)) for e in min_eigs) and \
-            min(min_eigs) >= -eps_psd * 10
+        checks["psd"] = all(e >= -VERIFY_PSD * max(1.0, abs(e)) for e in min_eigs) and \
+            min(min_eigs) >= -VERIFY_PSD * 10
         if sol.eq_duals is not None:
             dres = np.max(np.abs(ws.G.T @ sol.eq_duals + ws.adjoint(sol.block_duals)
                                  - ws.c))
             report["dual_residual"] = float(dres)
-            checks["dual_feasibility"] = dres <= eps_feas * ws.normc * 10
+            checks["dual_feasibility"] = dres <= VERIFY_FEAS * ws.normc * 10
             pobj = ws.c @ y
             dobj = ws.b @ sol.eq_duals
             report["gap"] = float(abs(pobj - dobj))
-            checks["weak_duality"] = dobj <= pobj + eps_feas * (1.0 + abs(pobj)) * 10
+            checks["weak_duality"] = dobj <= pobj + VERIFY_FEAS * (1.0 + abs(pobj)) * 10
     elif sol.status == SolveStatus.PRIMAL_INFEASIBLE:
         cert = sol.certificate
         mu = cert["mu"]
@@ -537,9 +545,9 @@ def verify_solution(problem, sol, eps_feas=1e-6, eps_psd=1e-7):
         report["farkas_residual"] = float(resid)
         report["farkas_bmu"] = float(bmu)
         report["farkas_block_min_eigs"] = min_eigs
-        checks["farkas_adjoint"] = resid <= eps_feas * ws.opscale * max(1.0, nrm)
-        checks["farkas_psd"] = all(e >= -eps_psd * max(1.0, nrm) for e in min_eigs)
-        checks["farkas_positive"] = bmu > eps_feas * max(nrm, 1e-30)
+        checks["farkas_adjoint"] = resid <= VERIFY_FEAS * ws.opscale * max(1.0, nrm)
+        checks["farkas_psd"] = all(e >= -VERIFY_PSD * max(1.0, nrm) for e in min_eigs)
+        checks["farkas_positive"] = bmu > VERIFY_FEAS * max(nrm, 1e-30)
     else:
         checks["conclusive"] = False
     report["checks"] = checks

@@ -10,10 +10,10 @@ from dataclasses import fields
 
 import fixtures
 import tensorspectra
-from tensorspectra.cli import build_parser, emit_json, run
-from tensorspectra.driver import full_sweep
+from tensorspectra.cli import (_OPTIONS, _config_echo, _sweep_options, build_parser,
+                               emit_json, run)
+from tensorspectra.driver import SweepOptions, full_sweep
 from tensorspectra.poly import monomials_upto
-from tensorspectra.sdpsolver import SolverOptions
 from tensorspectra.tensor import serialize_tensor
 
 
@@ -70,13 +70,25 @@ def test_json_output_schema(ex51_file, capsys):
     assert list(row.keys()) == ["value", "vectors", "residual", "isolated", "order"]
     assert row["value"] == pytest.approx(23.0, abs=5e-4)
     assert doc["termination"] == "certified-complete"
-    # every sweep and solver option, the solver's in their dataclass order
-    assert list(doc["config"]) == ["delta0", "delta_min", "kmax_offset", "nonneg",
-                                   "tol_res", "tol_eq", "tol_dedup", "rank_tol", "seed",
-                                   "delta_shrink", "tau_jac", "max_steps", "solver"]
-    assert doc["config"]["solver"] == {f.name: getattr(SolverOptions(), f.name)
-                                       for f in fields(SolverOptions)}
-    assert doc["config"]["max_steps"] == 64 and doc["config"]["delta_shrink"] == 5.0
+    # every option a flag sets, under the flag's name
+    assert list(doc["config"]) == ["delta", "delta_min", "kmax_offset", "nonneg",
+                                   "tol_res", "tol_eq", "tol_dedup", "rank_tol", "seed"]
+    assert doc["config"]["delta"] == 0.05 and doc["config"]["nonneg"] is False
+
+
+def test_cli_table_covers_every_sweep_option():
+    # one row per SweepOptions field but the solver hook, which no flag sets
+    names = sorted(name for name, _, _, _ in _OPTIONS)
+    assert names == sorted(f.name for f in fields(SweepOptions) if f.name != "solver")
+
+
+def test_config_echo_keys_are_the_table_flags():
+    keys = [flag[2:].replace("-", "_") for _, flag, _, _ in _OPTIONS]
+    assert list(_config_echo(SweepOptions())) == keys
+
+
+def test_no_flags_give_the_default_options():
+    assert _sweep_options(build_parser().parse_args(["zeig", "x.tsr"])) == SweepOptions()
 
 
 def test_json_empty_spectrum(ex13_file, capsys):

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import fixtures
-from tensorspectra.driver import (EigenSystem, SweepOptions, Termination,
-                                  check_isolated, full_sweep, h_count_bound,
-                                  h_system, next_eigenvalue, polish_eigenpair,
-                                  smallest_eigenvalue, z_system)
+from tensorspectra.driver import (EigenSystem, Eigenpair, StepResult, SweepOptions,
+                                  Termination, _Driver, check_isolated, full_sweep,
+                                  h_count_bound, h_system, next_eigenvalue,
+                                  polish_eigenpair, smallest_eigenvalue, z_system)
 from tensorspectra.poly import Polynomial, tensor_to_poly
 from tensorspectra.sdpsolver import SolveStatus, solve, verify_solution
 from tensorspectra.tensor import Tensor, identity_tensor
@@ -155,16 +155,16 @@ def test_smallest_eigenvalue_none_ex13():
 
 
 def test_next_eigenvalue_ex51():
-    out = next_eigenvalue("Z", fixtures.ex51(), 23.0, delta=0.05)
+    out = next_eigenvalue("Z", fixtures.ex51(), 23.0)
     assert out.outcome == "found"
     assert out.pair.value == pytest.approx(25.1, abs=5e-4)
-    out = next_eigenvalue("Z", fixtures.ex51(), 25.1, delta=0.05)
+    out = next_eigenvalue("Z", fixtures.ex51(), 25.1)
     assert out.outcome == "no-more"
     assert out.certificate["report"]["ok"]
 
 
 def test_next_eigenvalue_continuum_ex14():
-    out = next_eigenvalue("Z", fixtures.ex14(), 0.5, delta=0.05)
+    out = next_eigenvalue("Z", fixtures.ex14(), 0.5)
     assert out.outcome == "non-isolated"
 
 
@@ -391,11 +391,30 @@ def test_relaxation_blocks_released_after_sweep():
 
 @pytest.mark.parametrize("bad", [
     {"delta0": float("nan")}, {"delta0": float("inf")}, {"delta_min": float("nan")},
-    {"eps_res": float("inf")}, {"tau_jac": float("nan")}, {"kmax_offset": -1},
-    {"seed": -1}, {"delta0": 1e-7}, {"eps_eq": 0.0}, {"delta_shrink": 1.0}])
+    {"eps_res": float("inf")}, {"kmax_offset": -1}, {"seed": -1}, {"delta0": 1e-7},
+    {"eps_eq": 0.0}, {"kmax_offset": 1.5}, {"seed": 0.5}, {"kmax_offset": True}])
 def test_sweep_options_reject_what_no_sweep_can_run_with(bad):
     with pytest.raises(ValueError):
         SweepOptions(**bad)
+
+
+def test_value_below_the_last_ends_inconsistent(monkeypatch):
+    # a step that lands below the last value is no rediscovery of it: the
+    # sweep keeps both and ends INCONSISTENT, not certified-complete
+    steps = []
+
+    def next_after(self, lam_i):
+        steps.append(lam_i)
+        if len(steps) > 1:
+            return StepResult(outcome="no-more")
+        return StepResult(outcome="found", pair=Eigenpair(
+            kind=self.system.kind, value=lam_i - 1.0, vectors=[np.array([0.0, 1.0])],
+            residual=0.0, isolated=True, order_used=self.system.k0))
+
+    monkeypatch.setattr(_Driver, "next_after", next_after)
+    spec = full_sweep("Z", fixtures.ex51())
+    assert spec.termination == Termination.INCONSISTENT
+    assert spec.values == pytest.approx([23.0, 22.0], abs=5e-4)
 
 
 def _false_objective(problem, sol):
