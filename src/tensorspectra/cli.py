@@ -194,7 +194,11 @@ def run(argv=None):
         print(f"error: {message}", file=sys.stderr)
         return 2
     if args.dump_sdp:
-        opts.solver = _dumping_solver(args.dump_sdp)
+        try:
+            opts.solver = _dumping_solver(args.dump_sdp)
+        except OSError as exc:
+            print(f"error: --dump-sdp {args.dump_sdp}: {exc}", file=sys.stderr)
+            return 2
 
     kinds = {"zeig": ["Z"], "heig": ["H"], "both": ["Z", "H"]}[args.mode]
     spectra = [full_sweep(k, A, opts) for k in kinds]

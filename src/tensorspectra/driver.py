@@ -14,11 +14,12 @@ eigenvalues, reported as such rather than as a certified complete
 spectrum.
 
 Both hierarchies run through one order loop, and every relaxation result
-the sweep reads passes one gate there: an optimal or infeasible result
-only once :func:`verify_solution` has re-checked it against the problem
-data, an inaccurate one only with its residuals and gap within 1e-5.  The
-relaxation value is always c.y of the returned moments, recomputed from
-the problem data, never the objective the solver reports.
+the sweep reads passes one gate there: an optimal, infeasible or
+inaccurate result only once :func:`verify_solution` has re-checked it
+against the problem data (feasibility, duality gap and finiteness), an
+inaccurate one also only with its reported residuals and gap within 1e-5.
+The relaxation value is always c.y of the returned moments, recomputed
+from the problem data, never the objective the solver reports.
 
 Once the check passes at order k, the shifted minimization over the gap
 starts at order k or above: below it, that relaxation tends to return the
@@ -294,6 +295,10 @@ _ENDINGS = {"no-eigenvalue": Termination.CERTIFIED_COMPLETE,
             "unresolved": Termination.BUDGET}
 
 
+# the statuses whose results the order loop may pass on, once verified
+_USABLE = (SolveStatus.OPTIMAL, SolveStatus.PRIMAL_INFEASIBLE, SolveStatus.INACCURATE)
+
+
 def _merit(sol):
     """The largest of a solution's primal residual, dual residual and gap."""
     return max(sol.metrics.get(name, 1.0)
@@ -334,12 +339,13 @@ class _Driver:
 
         The orders run from the family's warm start ("min" or "max") to
         k0 + kmax_offset.  One gate decides what a caller may read: an
-        OPTIMAL or PRIMAL_INFEASIBLE result only once verify_solution passes
-        it, an INACCURATE one only when its primal and dual residuals and
-        its gap are all within 1e-5.  Yields (k, problem, solution, report,
-        value): report is verify_solution's (None when INACCURATE), value
-        the relaxation value +-c.y recomputed from the problem data (None
-        when infeasible), whatever objective the solver reported.
+        OPTIMAL, PRIMAL_INFEASIBLE or INACCURATE result only once
+        verify_solution passes it, an INACCURATE one also only when the
+        primal and dual residuals and the gap it reports are all within
+        1e-5 (a NaN among them fails).  Yields (k, problem, solution,
+        report, value): report is verify_solution's, value the relaxation
+        value +-c.y recomputed from the problem data (None when
+        infeasible), whatever objective the solver reported.
         """
         sys_, opts = self.system, self.opts
         kmax = sys_.k0 + opts.kmax_offset
@@ -359,14 +365,13 @@ class _Driver:
             if delta is not None:
                 entry["delta"] = float(delta)
             self._record(**entry)
-            report = None
-            if sol.status in (SolveStatus.OPTIMAL, SolveStatus.PRIMAL_INFEASIBLE):
-                report = verify_solution(prob, sol)
-                if not report["ok"]:
-                    self._record(phase=phase, k=k,
-                                 note=f"unverified {sol.status.value} result ignored")
-                    continue
-            elif sol.status is not SolveStatus.INACCURATE or _merit(sol) > 1e-5:
+            if sol.status not in _USABLE or \
+                    sol.status is SolveStatus.INACCURATE and not _merit(sol) <= 1e-5:
+                continue
+            report = verify_solution(prob, sol)
+            if not report["ok"]:
+                self._record(phase=phase, k=k,
+                             note=f"unverified {sol.status.value} result ignored")
                 continue
             yield k, prob, sol, report, value
 

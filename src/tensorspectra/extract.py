@@ -7,7 +7,8 @@ A moment vector y that satisfies the rank condition
 for some t comes from an atomic measure; its r = rank M_t(y) support
 points are recovered through multiplication operators on a monomial basis
 of the moment matrix column space, simultaneously diagonalized via a
-random convex combination.
+random convex combination.  Shifted basis positions and the powers of
+the atoms come from the ``exponents`` and ``positions`` of :mod:`poly`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .poly import basis_size, moment_index_table, monomials_upto, rank_table
+from .poly import basis_size, exponents, moment_index_table, positions
 
 RECON_TOL = 1e-4          # accepted reconstruction residual (inf-norm)
 WEIGHT_SUM_TOL = 1e-6     # extracted weights must sum to 1 within this
@@ -106,8 +107,6 @@ def extract_atoms(y, t, tau_rank=1e-6, seed=0, weight_sum_tol=WEIGHT_SUM_TOL):
     """
     n = y.n
     U, r = _moment_matrix_factor(y, t, tau_rank)
-    table = rank_table(n, t)
-    monos = monomials_upto(n, t)
 
     # pivot a monomial basis of degree <= t-1 so each x_i shift stays indexed
     low = basis_size(n, t - 1)
@@ -120,15 +119,11 @@ def extract_atoms(y, t, tau_rank=1e-6, seed=0, weight_sum_tol=WEIGHT_SUM_TOL):
     basis_rows = piv[:r]
     V0 = U[basis_rows, :]
 
+    # row i: the positions of x_i times each basis monomial
+    shifted = positions(n, t, exponents(n, t)[basis_rows] + np.eye(n, dtype=np.intp)[:, None])
     mult = []
-    for i in range(n):
-        shifted = []
-        for row in basis_rows:
-            mono = list(monos[row])
-            mono[i] += 1
-            shifted.append(table[tuple(mono)])
-        Xi = U[shifted, :]
-        Ni = np.linalg.solve(V0, Xi)
+    for rows in shifted:
+        Ni = np.linalg.solve(V0, U[rows, :])
         mult.append((Ni + Ni.T) / 2.0)
 
     rng = np.random.default_rng(seed)
@@ -149,9 +144,7 @@ def extract_atoms(y, t, tau_rank=1e-6, seed=0, weight_sum_tol=WEIGHT_SUM_TOL):
             f"no separating combination after {MAX_REDRAWS} draws (r={r})")
 
     # weights from the Vandermonde-type moment match
-    monos2t = monomials_upto(n, 2 * t)
-    B = np.array([[float(np.prod(u ** np.array(m))) for u in points]
-                  for m in monos2t])
+    B = np.prod(points ** exponents(n, 2 * t)[:, None], axis=2)
     target = y.truncate(2 * t)
     weights, *_ = np.linalg.lstsq(B, target, rcond=None)
     residual = float(np.max(np.abs(B @ weights - target)))

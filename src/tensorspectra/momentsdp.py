@@ -1,9 +1,11 @@
 """Moment vectors, localizing matrices, and relaxations of polynomial problems.
 
 A moment vector y of order k collects one value per monomial of degree at
-most 2k.  The localizing matrix of a polynomial q is the symmetric matrix
-L_q(y) with vec(p)^T L_q(y) vec(p) = <q*p^2, y> for admissible p; for q = 1
-it is the moment matrix M_k(y).  A polynomial optimization problem
+most 2k, in the graded order of :mod:`poly`; every position, exponent and
+degree here is read from that module's ``exponents`` and ``positions``.
+The localizing matrix of a polynomial q is the symmetric matrix L_q(y)
+with vec(p)^T L_q(y) vec(p) = <q*p^2, y> for admissible p; for q = 1 it
+is the moment matrix M_k(y).  A polynomial optimization problem
 
     min f(x)  s.t.  each eq(x) = 0, each ineq(x) >= 0
 
@@ -44,7 +46,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .poly import Polynomial, basis_size, monomials_upto
+from .poly import Polynomial, basis_size, exponents, positions
 
 EQ_RANK_TOL = 1e-10  # relative QR threshold for dropping dependent equality rows
 SPLIT_MIN_SIDE = 30  # smallest block side split by degree parity (module docstring)
@@ -80,8 +82,7 @@ def moment_vector_of_point(u, k):
     """The moment vector of the Dirac measure at u: entries u^alpha."""
     u = np.asarray(u, dtype=float)
     n = u.shape[0]
-    vals = np.array([np.prod(u ** np.array(mono)) for mono in monomials_upto(n, 2 * k)])
-    return MomentVector(n, k, vals)
+    return MomentVector(n, k, np.prod(u ** exponents(n, 2 * k), axis=1))
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ class LocalizingStructure:
     @property
     def degrees(self):
         """The degree of the basis monomial of each row."""
-        degrees = _degrees(self.n, self.k - (self.q.degree + 1) // 2)
+        degrees = exponents(self.n, self.k - (self.q.degree + 1) // 2).sum(axis=1)
         return degrees if self.rows is None else degrees[self.rows]
 
 
@@ -125,19 +126,16 @@ def localizing_structure(q, k, support=None):
     n = q.n
     half = (dq + 1) // 2
     side = basis_size(n, k - half)
-    # rank of every exponent tuple of degree <= 2k, looked up densely
-    rank = np.zeros((2 * k + 1,) * n, dtype=np.intp)
-    rank[tuple(np.array(monomials_upto(n, 2 * k)).T)] = np.arange(basis_size(n, 2 * k))
-    basis = np.array(monomials_upto(n, k - half))
+    basis = exponents(n, k - half)
     monos = np.array(list(q.terms), dtype=np.intp).reshape(-1, n)
-    # the graded order is a monomial order: with q's terms sorted by rank once,
-    # each cell's moments come out sorted, and distinct
-    order = np.argsort(rank[tuple(monos.T)])
+    # the graded order is a monomial order: with q's terms sorted by position
+    # once, each cell's moments come out sorted, and distinct
+    order = np.argsort(positions(n, 2 * k, monos))
     monos = monos[order]
     coefs = np.array(list(q.terms.values()), dtype=float)[order]
     # cell (a, b), term t: the moment of basis[a] + basis[b] + mono_t
     exps = basis[:, None, None, :] + basis[None, :, None, :] + monos
-    cols = rank[tuple(np.moveaxis(exps, -1, 0))].reshape(side * side, len(monos))
+    cols = positions(n, 2 * k, exps).reshape(side * side, len(monos))
     num_moments = basis_size(n, 2 * k)
     if support is not None:
         column = np.full(num_moments, -1)     # increasing on the support
@@ -284,14 +282,9 @@ def _parity(p):
     return parities.pop() if parities else 0
 
 
-def _degrees(n, d):
-    """The degree of each monomial of degree <= d, in the graded order."""
-    return np.repeat(np.arange(d + 1), np.diff([0] + [basis_size(n, j) for j in range(d + 1)]))
-
-
 def _even_moments(n, k):
     """Positions of the moments of even degree <= 2k in the graded order."""
-    return np.flatnonzero(_degrees(n, 2 * k) % 2 == 0)
+    return np.flatnonzero(exponents(n, 2 * k).sum(axis=1) % 2 == 0)
 
 
 def _parity_parts(s):

@@ -3,7 +3,10 @@
 Monomials are exponent tuples alpha of length n.  The global order is
 degree-major, then lexicographic within each degree with x1 > x2 > ...,
 i.e. 1, x1, ..., xn, x1^2, x1*x2, ..., xn^2, ...  All moment and
-localizing matrix indexing relies on this single order.
+localizing matrix indexing relies on this single order, and only this
+module holds it: :func:`exponents` lists the exponent rows of degree at
+most d in order, and :func:`positions` maps rows back to their places
+through one dense lookup, both read-only and cached per (n, d).
 """
 
 from __future__ import annotations
@@ -46,18 +49,33 @@ def monomials_upto(n, d):
 
 
 @lru_cache(maxsize=None)
-def rank_table(n, d):
-    """Mapping exponent tuple -> position in the graded-lex order."""
-    return {mono: i for i, mono in enumerate(monomials_upto(n, d))}
+def exponents(n, d):
+    """Read-only array of the exponent rows of degree <= d, in graded-lex order."""
+    E = np.array(monomials_upto(n, d), dtype=np.intp).reshape(-1, n)
+    E.flags.writeable = False
+    return E
+
+
+@lru_cache(maxsize=None)
+def _position_table(n, d):
+    """Read-only dense lookup: exponent tuple -> position, -1 past degree d."""
+    table = np.full((d + 1,) * n, -1, dtype=np.intp)
+    table[tuple(exponents(n, d).T)] = np.arange(basis_size(n, d))
+    table.flags.writeable = False
+    return table
+
+
+def positions(n, d, rows):
+    """Graded-lex positions of integer exponent rows (last axis n) of degree <= d."""
+    rows = np.asarray(rows, dtype=np.intp)
+    return _position_table(n, d)[tuple(np.moveaxis(rows, -1, 0))]
 
 
 @lru_cache(maxsize=None)
 def moment_index_table(n, t):
     """Read-only index array with M_t(y) = y[idx] for any moment values y."""
-    basis = monomials_upto(n, t)
-    table = rank_table(n, 2 * t)
-    idx = np.array([[table[tuple(x + y for x, y in zip(a, b))] for b in basis]
-                    for a in basis], dtype=np.intp)
+    E = exponents(n, t)
+    idx = positions(n, 2 * t, E[:, None] + E[None, :])
     idx.flags.writeable = False
     return idx
 
@@ -219,10 +237,9 @@ class Polynomial:
         """Coefficients laid out over the degree-<=d graded basis."""
         if self.degree > d:
             raise ValueError(f"degree {self.degree} exceeds basis degree {d}")
-        table = rank_table(self.n, d)
         vec = np.zeros(basis_size(self.n, d))
-        for mono, c in self.terms.items():
-            vec[table[mono]] = c
+        rows = np.array(list(self.terms), dtype=np.intp).reshape(-1, self.n)
+        vec[positions(self.n, d, rows)] = list(self.terms.values())
         return vec
 
     def __repr__(self):
@@ -245,13 +262,11 @@ class Polynomial:
         return hash((self.n, tuple(sorted(self.terms.items()))))
 
 
-def tensor_to_poly(A):
-    """The degree-m form built by contracting every tensor index with x."""
-    n, m = A.dim, A.order
+def _form(n, entries):
+    """The form sum_idx entries[idx] * x_idx1 * x_idx2 * ..., its terms
+    placed and summed in the row-major order of the multi-indices idx."""
     terms = {}
-    flat = A.entries.reshape(-1)
-    for pos, idx in enumerate(itertools.product(range(n), repeat=m)):
-        c = flat[pos]
+    for c, idx in zip(entries.reshape(-1), itertools.product(range(n), repeat=entries.ndim)):
         if c == 0.0:
             continue
         mono = [0] * n
@@ -262,21 +277,11 @@ def tensor_to_poly(A):
     return Polynomial(n, terms)
 
 
+def tensor_to_poly(A):
+    """The degree-m form built by contracting every tensor index with x."""
+    return _form(A.dim, A.entries)
+
+
 def tensor_to_poly_vector(A):
     """The n degree-(m-1) forms from contracting all but the first index."""
-    n, m = A.dim, A.order
-    out = []
-    for j in range(n):
-        terms = {}
-        flat = A.entries[j].reshape(-1)
-        for pos, idx in enumerate(itertools.product(range(n), repeat=m - 1)):
-            c = flat[pos]
-            if c == 0.0:
-                continue
-            mono = [0] * n
-            for i in idx:
-                mono[i] += 1
-            mono = tuple(mono)
-            terms[mono] = terms.get(mono, 0.0) + c
-        out.append(Polynomial(n, terms))
-    return out
+    return [_form(A.dim, A.entries[j]) for j in range(A.dim)]

@@ -185,7 +185,7 @@ class _Workspace:
         self.normb = 1.0 + np.max(np.abs(self.b))
         self.normc = 1.0 + (np.max(np.abs(self.c)) if self.c.size else 0.0)
         scale = max(np.max(np.abs(self.G)) if self.G.size else 0.0,
-                    max((abs(blk.matrix).max() if blk.matrix.nnz else 0.0)
+                    max((np.abs(blk.matrix.data).max() if blk.matrix.nnz else 0.0)
                         for blk in problem.blocks))
         self.opscale = max(1.0, scale)
 
@@ -509,22 +509,38 @@ def verify_solution(problem, sol):
     """Recompute residuals and certificate conditions from the problem data.
 
     Returns a dict of named boolean checks plus measured values; ``ok``
-    aggregates them.  Callers should trust OPTIMAL / PRIMAL_INFEASIBLE
-    statuses only after this passes.
+    aggregates them.  Callers should trust an OPTIMAL, INACCURATE or
+    PRIMAL_INFEASIBLE result only after this passes.  An OPTIMAL or
+    INACCURATE result needs its duals: it passes only when y and the
+    duals are feasible and the duality gap c.y - b.mu is within the
+    tolerance on either side, so a feasible but suboptimal y fails.  A
+    result holding a value that is not finite fails the ``finite`` check,
+    and nothing else is computed.
     """
     ws = _Workspace(problem)
     report = {"status": sol.status.value}
     checks = {}
     if sol.status in (SolveStatus.OPTIMAL, SolveStatus.INACCURATE):
         y = sol.y
+        duals = [] if sol.eq_duals is None else [sol.eq_duals, *sol.block_duals]
+        mats = ws.apply(y)
+        checks["finite"] = all(np.isfinite(a).all() for a in [y, *mats, *duals])
+    elif sol.status == SolveStatus.PRIMAL_INFEASIBLE:
+        mu, Zs = sol.certificate["mu"], sol.certificate["blocks"]
+        checks["finite"] = all(np.isfinite(a).all() for a in [mu, *Zs])
+    else:
+        checks["conclusive"] = False
+    finite = checks.get("finite", False)
+    if finite and sol.status in (SolveStatus.OPTIMAL, SolveStatus.INACCURATE):
         eq_res = np.max(np.abs(ws.G @ y - ws.b)) if ws.p else 0.0
         checks["equalities"] = eq_res <= VERIFY_FEAS * ws.normb
         report["eq_residual"] = float(eq_res)
-        min_eigs = [float(scipy.linalg.eigvalsh(M)[0]) for M in ws.apply(y)]
+        min_eigs = [float(scipy.linalg.eigvalsh(M)[0]) for M in mats]
         report["block_min_eigs"] = min_eigs
         checks["psd"] = all(e >= -VERIFY_PSD * max(1.0, abs(e)) for e in min_eigs) and \
             min(min_eigs) >= -VERIFY_PSD * 10
-        if sol.eq_duals is not None:
+        checks["dual_feasibility"] = False
+        if duals:
             dres = np.max(np.abs(ws.G.T @ sol.eq_duals + ws.adjoint(sol.block_duals)
                                  - ws.c))
             report["dual_residual"] = float(dres)
@@ -532,11 +548,10 @@ def verify_solution(problem, sol):
             pobj = ws.c @ y
             dobj = ws.b @ sol.eq_duals
             report["gap"] = float(abs(pobj - dobj))
-            checks["weak_duality"] = dobj <= pobj + VERIFY_FEAS * (1.0 + abs(pobj)) * 10
-    elif sol.status == SolveStatus.PRIMAL_INFEASIBLE:
-        cert = sol.certificate
-        mu = cert["mu"]
-        Zs = cert["blocks"]
+            tol = VERIFY_FEAS * (1.0 + abs(pobj)) * 10
+            checks["weak_duality"] = dobj <= pobj + tol
+            checks["duality_gap"] = pobj - dobj <= tol
+    elif finite:
         nrm = np.linalg.norm(mu) + sum(np.linalg.norm(Zj) for Zj in Zs)
         resid = np.max(np.abs(ws.G.T @ mu + ws.adjoint(Zs)))
         bmu = ws.b @ mu
@@ -548,8 +563,6 @@ def verify_solution(problem, sol):
         checks["farkas_adjoint"] = resid <= VERIFY_FEAS * ws.opscale * max(1.0, nrm)
         checks["farkas_psd"] = all(e >= -VERIFY_PSD * max(1.0, nrm) for e in min_eigs)
         checks["farkas_positive"] = bmu > VERIFY_FEAS * max(nrm, 1e-30)
-    else:
-        checks["conclusive"] = False
     report["checks"] = checks
     report["ok"] = bool(checks) and all(checks.values())
     return report

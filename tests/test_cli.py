@@ -214,6 +214,14 @@ def test_dump_sdp_writes_files(ex13_file, tmp_path, capsys):
     assert int(fields["vars"]) == len(want)
 
 
+def test_dump_sdp_at_an_existing_file_exit2(ex51_file, tmp_path, capsys, monkeypatch):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    monkeypatch.setattr("tensorspectra.cli.full_sweep", _no_sweep)
+    assert run(["zeig", ex51_file, "--dump-sdp", str(afile)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --dump-sdp {afile}: ")
+
+
 def test_dump_sdp_tags_parity_parts(tmp_path, capsys):
     # ex54(4) H: the moment block of side 35 at k = 3 enters as its even and
     # odd parts (11 and 24 rows); the smaller blocks stay whole

@@ -12,7 +12,7 @@ from tensorspectra.driver import (EigenSystem, Eigenpair, StepResult, SweepOptio
                                   h_count_bound, h_system, next_eigenvalue,
                                   polish_eigenpair, smallest_eigenvalue, z_system)
 from tensorspectra.poly import Polynomial, tensor_to_poly
-from tensorspectra.sdpsolver import SolveStatus, solve, verify_solution
+from tensorspectra.sdpsolver import SolveStatus, SolverOptions, solve, verify_solution
 from tensorspectra.tensor import Tensor, identity_tensor
 
 
@@ -418,11 +418,11 @@ def test_value_below_the_last_ends_inconsistent(monkeypatch):
 
 
 def _false_objective(problem, sol):
-    return replace(sol, objective=-1e3)
+    return replace(sol, objective=-1e3) if problem.maximize else sol
 
 
 def _off_the_equalities(problem, sol):
-    if sol.status is not SolveStatus.OPTIMAL:
+    if not problem.maximize or sol.status is not SolveStatus.OPTIMAL:
         return sol
     rows = problem.eq_rows
     bad = replace(sol, y=sol.y + 1e-2 * (rows.T @ np.ones(rows.shape[0])))
@@ -430,14 +430,73 @@ def _off_the_equalities(problem, sol):
     return bad
 
 
-@pytest.mark.parametrize("fault", [_false_objective, _off_the_equalities])
+def _as_inaccurate(sol):
+    """sol relabelled INACCURATE, with reported residuals and gap that pass."""
+    metrics = dict(sol.metrics, primal_residual=1e-9, dual_residual=1e-9, gap=1e-9)
+    return replace(sol, status=SolveStatus.INACCURATE, metrics=metrics)
+
+
+def _minimizer_y(problem, sol):
+    # a feasible but far from optimal y, with the maximization's own duals
+    if not problem.maximize or sol.status is not SolveStatus.OPTIMAL:
+        return sol
+    low = solve(replace(problem, c=-problem.c, maximize=False))
+    return sol if low.y is None else replace(sol, y=low.y)
+
+
+def _minimizer_y_inaccurate(problem, sol):
+    bad = _minimizer_y(problem, sol)
+    return sol if bad is sol else _as_inaccurate(bad)
+
+
+def _nan_in_y(problem, sol):
+    if not problem.maximize or sol.status is not SolveStatus.OPTIMAL:
+        return sol
+    y = sol.y.copy()
+    y[-1] = np.nan
+    return replace(sol, y=y)
+
+
+def _nan_in_y_inaccurate(problem, sol):
+    bad = _nan_in_y(problem, sol)
+    return sol if bad is sol else _as_inaccurate(bad)
+
+
+def _unconverged_as_optimal(problem, sol):
+    # five iterations of the maximization, reported as its optimum
+    if not problem.maximize:
+        return sol
+    early = solve(problem, SolverOptions(max_iter=5))
+    return replace(early, status=SolveStatus.OPTIMAL, metrics=sol.metrics)
+
+
+def _perturbed_farkas(problem, sol):
+    if sol.status is not SolveStatus.PRIMAL_INFEASIBLE:
+        return sol
+    mu = 1.1 * sol.certificate["mu"]
+    return replace(sol, certificate=dict(sol.certificate, mu=mu))
+
+
+def _nan_in_farkas(problem, sol):
+    # infeasible relaxations are minimizations: this fault hits the steps
+    # that end the sweep
+    if sol.status is not SolveStatus.PRIMAL_INFEASIBLE:
+        return sol
+    blocks = [Z.copy() for Z in sol.certificate["blocks"]]
+    blocks[0][0, 0] = np.nan
+    return replace(sol, certificate=dict(sol.certificate, blocks=blocks))
+
+
+@pytest.mark.parametrize("fault", [
+    _false_objective, _off_the_equalities, _minimizer_y, _minimizer_y_inaccurate,
+    _unconverged_as_optimal, _perturbed_farkas, _nan_in_y, _nan_in_y_inaccurate,
+    _nan_in_farkas])
 def test_faulty_maximizations_never_certify_a_wrong_spectrum(fault):
     # every relaxation result the sweep reads is re-checked from the problem
     # data; a false backward bound once dropped ex56 Z's 2.06e-4 and still
-    # certified the rest
+    # certified the rest, and a value that is not finite raised
     def solver(problem, options):
-        sol = solve(problem, options)
-        return fault(problem, sol) if problem.maximize else sol
+        return fault(problem, solve(problem, options))
 
     A = fixtures.ex56()
     honest = full_sweep("Z", A)

@@ -12,8 +12,7 @@ from tensorspectra.momentsdp import (SPLIT_MIN_SIDE, MomentVector, _build_relaxa
                                      build_max_relaxation, build_min_relaxation,
                                      dump_problem, localizing_structure,
                                      moment_structure, moment_vector_of_point)
-from tensorspectra.poly import (Polynomial, basis_size, moment_index_table,
-                                monomials_upto, rank_table)
+from tensorspectra.poly import Polynomial, basis_size, moment_index_table, monomials_upto
 from tensorspectra.sdpsolver import ConicSolution, SolveStatus, solve, verify_solution
 
 
@@ -76,7 +75,7 @@ def _loop_localizing_matrix(q, k):
     n = q.n
     side = basis_size(n, k - (q.degree + 1) // 2)
     basis = monomials_upto(n, k - (q.degree + 1) // 2)
-    table = rank_table(n, 2 * k)
+    table = {mono: i for i, mono in enumerate(monomials_upto(n, 2 * k))}
     rows, cols, data = [], [], []
     for a in range(side):
         for b in range(a, side):

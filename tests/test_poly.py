@@ -1,12 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures
-from tensorspectra.poly import (Polynomial, basis_size, monomial_rank,
-                                monomial_unrank, monomials_upto,
-                                tensor_to_poly, tensor_to_poly_vector)
+from tensorspectra.poly import (Polynomial, basis_size, exponents, moment_index_table,
+                                monomial_rank, monomial_unrank, monomials_upto,
+                                positions, tensor_to_poly, tensor_to_poly_vector)
 from tensorspectra.tensor import contract_full, contract_partial, identity_tensor
 
 
@@ -43,6 +45,23 @@ def test_rank_unrank_bijection_exhaustive(n):
     for r, mono in enumerate(monos):
         assert monomial_rank(mono) == r
         assert monomial_unrank(n, d, r) == mono
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 8))
+def test_order_arrays_match_the_combinatorial_rank(n, d):
+    # monomial_rank needs no table, so it checks the shared arrays independently
+    monos = monomials_upto(n, d)
+    E = exponents(n, d)
+    assert E.tolist() == [list(m) for m in monos]
+    assert positions(n, d, E).tolist() == [monomial_rank(m) for m in monos]
+    grid = np.array(list(itertools.product(range(d + 1), repeat=n)))
+    outside = grid.sum(axis=1) > d
+    assert np.all(positions(n, d, grid[outside]) == -1)
+    t = d // 2
+    basis = monomials_upto(n, t)
+    want = [[monomial_rank(tuple(x + y for x, y in zip(a, b))) for b in basis] for a in basis]
+    assert moment_index_table(n, t).tolist() == want
 
 
 def test_rank_monotone_in_degree():
