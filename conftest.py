@@ -17,3 +17,5 @@ def pytest_configure(config):
     # set here rather than in pyproject.toml: pytest resolves that filter's
     # class, importing scipy and numpy, before it loads this file
     config.addinivalue_line("filterwarnings", "error::scipy.linalg.LinAlgWarning")
+    # an overflow or invalid value inside a solve fails the test that met it
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")

@@ -24,8 +24,11 @@ from the problem data, never the objective the solver reports.
 Once the check passes at order k, the shifted minimization over the gap
 starts at order k or above: below it, that relaxation tends to return the
 gap's boundary value lam_i + delta and escalate anyway.  Backward checks
-keep their own start order, one below the last order that passed;
-starting them higher costs large relaxations on the H fixtures.
+keep their own start order, one below the last order that passed.
+Starting each at the order that passed would save about a tenth of the
+solves on every benchmark workload, but it moves ex53 Z and ex54(4) Z
+onto relaxations with N >= 150 (per round, 5 -> 12 and 5 -> 7 such
+solves), so the Z fixtures would take longer.
 
 Every H system and every even-order Z system is unchanged under u -> -u,
 so its relaxations are built over the even-degree moments only, with
@@ -192,7 +195,6 @@ class EigenSystem:
             self.f, self.h, self.m0 = h_system(A)
             self.p = self.m - 1
         self.k0 = (self.m0 + self.m) // 2            # ceil((m0+m-1)/2)
-        self._jac_polys = [p.gradient() for p in tensor_to_poly_vector(A)]
 
     def normalize(self, u):
         u = np.asarray(u, dtype=float)
@@ -220,7 +222,12 @@ class EigenSystem:
         J = np.zeros((self.n + 1, self.n + 1))
         J[0, 1:] = self.m0 * x ** (self.m0 - 1)
         J[1:, 0] = -(x ** p)
-        J[1:, 1:] = [[g.evaluate(x) for g in row] for row in self._jac_polys]
+        # d(A x^{m-1})/dx: each trailing slot s of A in turn left free
+        for s in range(1, self.m):
+            slot = np.moveaxis(self.A.entries, s, 1)
+            for _ in range(self.m - 2):
+                slot = slot @ x
+            J[1:, 1:] += slot
         J[1:, 1:] -= np.diag(lam * p * x ** (p - 1))
         return J
 

@@ -219,20 +219,6 @@ class Polynomial:
             total += v
         return total
 
-    def gradient(self):
-        """Partial derivatives as a list of n polynomials."""
-        grads = []
-        for i in range(self.n):
-            terms = {}
-            for mono, c in self.terms.items():
-                if mono[i] == 0:
-                    continue
-                m = list(mono)
-                m[i] -= 1
-                terms[tuple(m)] = terms.get(tuple(m), 0.0) + c * mono[i]
-            grads.append(Polynomial(self.n, terms))
-        return grads
-
     def coefficient_vector(self, d):
         """Coefficients laid out over the degree-<=d graded basis."""
         if self.degree > d:

@@ -24,22 +24,28 @@ y is a fixed particular solution plus B z, and the Schur matrix is
 assembled for z only, from each block's operator projected onto B.  The
 remaining rows, those that pin top-degree moments, stay as constraints
 with their multipliers.  The reduced system in (z, dmu of those rows) is
-LU-factorized densely with static regularization on its diagonal, and
-the multipliers of the eliminated rows are recovered through the
-triangular QR factor.  Step lengths come from the NT-scaled directions
-Rinv dS Rinv^T and R^T dZ R, which the step equations already form: one
-symmetric eigenvalue call per scaled matrix, with no factorization of S or
-Z.  A direction that is not finite gets step 0, which ends the solve with
-its best iterate.  The top-degree moments are the problem's
-``top_degree`` variables, so a relaxation over part of the moments needs
-no branch here.  Nor does one whose blocks are split by degree parity
-(see :mod:`momentsdp`): the solver sees more, smaller blocks, each with
-its own NT scaling, and a block-diagonal matrix is PSD exactly when each
-of its diagonal blocks is, so :func:`verify_solution` checks the same
-conditions part by part.  The scaling of the projected operators and
-the Schur products cost in proportion to the sum of the squared block
-sides: 50² + 34² = 3656 for the parts of ex56 H's moment block at k = 6,
-against 84² = 7056 whole.
+LU-factorized densely with static regularization on its diagonal, which
+one step of iterative refinement takes back out of each solution
+(without it, the reduced and full relaxations of ex51 H end 4.8e-7
+apart).  The multipliers of the eliminated rows are recovered through
+the triangular QR factor, from the dual equation and the direction's dZ.
+Every product with Phi v = sum_j adj_j(W_j^-1 mat_j(v) W_j^-1), W_j the
+NT scaling of block j, is one adjoint through W_j^-1, formed once per
+iteration; the scaled projected operators serve only to assemble the
+Schur matrix B^T Phi B, one block at a time in one buffer.  Step lengths
+come from the NT-scaled directions Rinv dS Rinv^T and R^T dZ R, which the
+step equations already form: one symmetric eigenvalue call per scaled
+matrix, with no factorization of S or Z.  A direction that is not finite
+gets step 0, which ends the solve with its best iterate.  The top-degree
+moments are the problem's ``top_degree`` variables, so a relaxation over
+part of the moments needs no branch here.  Nor does one whose blocks are
+split by degree parity (see :mod:`momentsdp`): the solver sees more,
+smaller blocks, each with its own NT scaling, and a block-diagonal matrix
+is PSD exactly when each of its diagonal blocks is, so
+:func:`verify_solution` checks the same conditions part by part.  The
+scaling of the projected operators and the Schur products cost in
+proportion to the sum of the squared block sides: 50² + 34² = 3656 for
+the parts of ex56 H's moment block at k = 6, against 84² = 7056 whole.
 
 The relaxations are small (a few dozen moments on n = 2 tensors), so the
 iteration is bound by per-call overhead rather than arithmetic.  Each
@@ -242,10 +248,9 @@ def solve(problem, options=None):
     # contiguous, so that the batched products below run as BLAS calls
     reduced_ops = [np.ascontiguousarray((blk.matrix @ B).T).reshape(m, q, q)
                    for blk, q in zip(ws.blocks, ws.sides)]
-    # the scaled operators, rewritten in place every iteration: a fresh list
-    # would coexist with the last one and hold twice their memory
-    scaled_ops = [np.empty_like(ops) for ops in reduced_ops]
-    Vs = [V.reshape(m, q * q) for V, q in zip(scaled_ops, ws.sides)]
+    # the scaled operators serve only the Schur matrix, so one buffer sized
+    # for the largest block holds those of each block in turn
+    scaled_buf = np.empty(m * max((q * q for q in ws.sides), default=0))
     y = np.zeros(N)
     mu = np.zeros(p)
     S = [np.eye(q) for q in ws.sides]
@@ -297,7 +302,7 @@ def solve(problem, options=None):
         bmu = ws.b @ mu
         cert_scale = np.linalg.norm(mu) + sum(np.linalg.norm(Zj) for Zj in Z)
         if bmu > EPS_FEAS * cert_scale:
-            farkas = np.max(np.abs(ws.G.T @ mu + ws.adjoint(Z)))
+            farkas = np.max(np.abs(rd + ws.c * tau))     # G^T mu + adj(Z)
             strong = farkas <= 1e-2 * EPS_FEAS * ws.opscale * cert_scale
             if (tau <= TAU_KAPPA_TOL * max(1.0, kappa) or strong) and \
                     farkas <= EPS_FEAS * ws.opscale * cert_scale:
@@ -325,13 +330,15 @@ def solve(problem, options=None):
             scalings = [_nt_scaling(Sj, Zj) for Sj, Zj in zip(S, Z)]
         except np.linalg.LinAlgError:
             break
-        # row l of Vs[j] is vec(Rinv mat_j(B e_l) Rinv^T): B^T Phi B = sum Vs[j] Vs[j]^T
-        for (R, Rinv, sig), ops, out, q in zip(scalings, reduced_ops, scaled_ops, ws.sides):
+        Wis = [Rinv.T @ Rinv for (R, Rinv, sig) in scalings]
+        K = np.zeros((m + p - ph, m + p - ph))
+        for (R, Rinv, sig), ops, q in zip(scalings, reduced_ops, ws.sides):
+            # row l of V is vec(Rinv mat_j(B e_l) Rinv^T), so B^T Phi B = sum_j V V^T
+            V = scaled_buf[:m * q * q].reshape(m, q, q)
             step = max(1, _BATCH // (q * q))
             for lo in range(0, m, step):
-                np.matmul(Rinv @ ops[lo:lo + step], Rinv.T, out=out[lo:lo + step])
-        K = np.zeros((m + p - ph, m + p - ph))
-        for V in Vs:
+                np.matmul(Rinv @ ops[lo:lo + step], Rinv.T, out=V[lo:lo + step])
+            V = V.reshape(m, q * q)
             K[:m, :m] += V @ V.T
         K[:m, m:] = -GsB.T
         K[m:, :m] = GsB
@@ -340,20 +347,20 @@ def solve(problem, options=None):
         if info != 0:        # an exactly zero pivot: treat as a failed factorization
             break
 
-        def scaled(mats):
-            """Rinv mat_j(v) Rinv^T for each block, given mat_j(v)."""
-            return [Rinv @ M @ Rinv.T for (R, Rinv, sig), M in zip(scalings, mats)]
+        def phi(mats):
+            """Phi v = sum_j adj_j(W_j^-1 mat_j(v) W_j^-1), given mat_j(v)."""
+            return ws.adjoint([Wi @ M @ Wi for Wi, M in zip(Wis, mats)])
 
-        def as_part(y_p, Xp, t1_s):
+        def as_part(y_p, mats_p, t1_s):
             """The particular step y_p as null_step takes it: with B^T Phi y_p
-            and y0^T Phi y_p, both from its scaled block matrices Xp."""
-            return (y_p, sum(V @ X.ravel() for V, X in zip(Vs, Xp)),
-                    sum(np.vdot(a, b) for a, b in zip(X0, Xp)), t1_s)
+            and y0.Phi y_p, given its block matrices mats_p."""
+            phi_p = phi(mats_p)
+            return y_p, B.T @ phi_p, y0 @ phi_p, t1_s
 
         def particular(t1):
             """The minimum-norm y_p with G_h y_p = t1_h, reduced, with t1_s."""
             y_p = pinv_t.T @ t1[hard]
-            return as_part(y_p, scaled(ws.apply(y_p)), t1[soft])
+            return as_part(y_p, ws.apply(y_p), t1[soft])
 
         def null_step(q1, part):
             """dy = y_p + B z, dmu_s and b.dmu from the reduced system.
@@ -366,14 +373,15 @@ def solve(problem, options=None):
             y_p, phi_p, y0_phi_p, t1_s = part
             rhs = np.concatenate([-(B.T @ q1) - phi_p, t1_s - G_s @ y_p])
             u = lapack.dgetrs(lu, piv, rhs)[0]
+            # needed: without it STATIC_REG biases each step (ex51 H's reduced and
+            # full relaxations end 4.8e-7 apart, a reduced ex55 H one INACCURATE)
             u += lapack.dgetrs(lu, piv, rhs - K @ u + STATIC_REG * u)[0]
             z, dmu_s = u[:m], u[m:]
             b_dmu = y0 @ q1 + y0_phi_p + phi0 @ z + b_dmu_s @ dmu_s
             return y_p + B @ z, dmu_s, b_dmu
 
         # the tau direction: targets c and b in place of q1 and t1
-        X0 = scaled(mats0)
-        part0 = as_part(y0, X0, b_s)
+        part0 = as_part(y0, mats0, b_s)
         phi0 = part0[1]
         dy_t, dmu_s_t, b_dmu_t = null_step(ws.c, part0)
         denom = ws.c @ dy_t - b_dmu_t - kappa / tau
@@ -389,9 +397,7 @@ def solve(problem, options=None):
             Ds = Rinv dS Rinv^T and Dz = R^T dZ R of each block.
             """
             Fs = [R @ E @ R.T + t2 for (R, Rinv, sig), E, t2 in zip(scalings, Es, t2s)]
-            hterm = ws.adjoint([Rinv.T @ (Rinv @ F @ Rinv.T) @ Rinv
-                                for (R, Rinv, sig), F in zip(scalings, Fs)])
-            q1 = t3 - hterm
+            q1 = t3 - phi(Fs)
             dy_c, dmu_s_c, b_dmu_c = null_step(q1, part)
             dtau = (t4 - ws.c @ dy_c + b_dmu_c - t6 / tau) / denom
             dy = dy_c + dtau * dy_t
@@ -411,9 +417,8 @@ def solve(problem, options=None):
             if with_mu:
                 dmu = np.empty(p)
                 dmu[soft] = dmu_s_c + dtau * dmu_s_t
-                phi_dy = ws.adjoint([Rinv.T @ X @ Rinv for (R, Rinv, sig), X
-                                     in zip(scalings, scaled(mats_dy))])
-                dmu[hard] = pinv_t @ (q1 + dtau * ws.c + phi_dy - G_s.T @ dmu[soft])
+                # the dual equation; adj reads only dZ's symmetric part
+                dmu[hard] = pinv_t @ (t3 + dtau * ws.c - ws.adjoint(dZ) - G_s.T @ dmu[soft])
             return [dy, dmu, dS, dZ, dtau, dkappa, Ds, Dz]
 
         def refine(dirs, t1, t2s, t3, t4, Es, t6):

@@ -95,14 +95,6 @@ def test_evaluate_example():
     assert p.evaluate([1.0, 1.0]) == pytest.approx(-1.0)
 
 
-def test_gradient_example():
-    x1 = Polynomial.variable(2, 0)
-    x2 = Polynomial.variable(2, 1)
-    g = (x1 ** 2 * x2).gradient()
-    assert g[0] == 2.0 * x1 * x2
-    assert g[1] == x1 ** 2
-
-
 def test_mismatched_variables_raise():
     with pytest.raises(ValueError):
         Polynomial.variable(2, 0) + Polynomial.variable(3, 0)
@@ -140,21 +132,6 @@ def test_product_evaluation_property(n, seed_p, seed_q):
     lhs = (p * q).evaluate(x)
     rhs = p.evaluate(x) * q.evaluate(x)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-9)
-
-
-def test_gradient_matches_central_differences():
-    rng = np.random.default_rng(12)
-    h = 1e-6
-    for _ in range(10):
-        n = int(rng.integers(1, 4))
-        p = _random_poly(rng, n, 3)
-        grads = p.gradient()
-        x = rng.normal(size=n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            fd = (p.evaluate(x + e) - p.evaluate(x - e)) / (2 * h)
-            assert abs(grads[i].evaluate(x) - fd) < 1e-5
 
 
 def test_tensor_to_poly_identity_order3():

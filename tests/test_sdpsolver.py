@@ -251,6 +251,11 @@ def test_workspace_operators_match_block_matrices(prob):
         assert np.max(np.abs(adj - want)) <= 1e-13 * np.max(np.abs(want))
         lhs = sum(np.sum(M * X) for M, X in zip(got, Xs))
         assert lhs == pytest.approx(v @ adj, rel=1e-13)
+        # each block's adjoint reads only the symmetric part of its matrix
+        for j, X in enumerate(Xs):
+            one = [X if i == j else np.zeros_like(Y) for i, Y in enumerate(Xs)]
+            a, b = ws.adjoint(one), ws.adjoint([Y.T for Y in one])
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
     assert [blk.side for blk in prob.blocks] in ([22, 34, 20], [35, 10, 10])
 
 
