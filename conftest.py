@@ -19,3 +19,6 @@ def pytest_configure(config):
     config.addinivalue_line("filterwarnings", "error::scipy.linalg.LinAlgWarning")
     # an overflow or invalid value inside a solve fails the test that met it
     config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+    # so does a call that a numpy or scipy release is about to change
+    for category in ("DeprecationWarning", "PendingDeprecationWarning", "FutureWarning"):
+        config.addinivalue_line("filterwarnings", f"error::{category}")

@@ -14,12 +14,12 @@ eigenvalues, reported as such rather than as a certified complete
 spectrum.
 
 Both hierarchies run through one order loop, and every relaxation result
-the sweep reads passes one gate there: an optimal, infeasible or
-inaccurate result only once :func:`verify_solution` has re-checked it
-against the problem data (feasibility, duality gap and finiteness), an
-inaccurate one also only with its reported residuals and gap within 1e-5.
-The relaxation value is always c.y of the returned moments, recomputed
-from the problem data, never the objective the solver reports.
+the sweep reads passes one gate there: :func:`verify_solution`, which
+re-checks it against the problem data (shapes, finiteness, feasibility
+and duality gap, or the dual ray of an infeasible one).  The solver's
+status only chooses that check, and its reported objective and metrics
+are never read.  The relaxation value is always c.y of the returned
+moments, recomputed from the problem data.
 
 Once the check passes at order k, the shifted minimization over the gap
 starts at order k or above: below it, that relaxation tends to return the
@@ -249,8 +249,6 @@ def polish_eigenpair(kind, A, lam, u):
     nrm = np.max(np.abs(Fv))
     best = (lam, x.copy(), nrm)
     for _ in range(POLISH_MAX_ITER):
-        if nrm < best[2]:
-            best = (lam, x.copy(), nrm)
         if nrm <= POLISH_TOL * scale:
             return lam, x, True
         J = system.jacobian(lam, x)
@@ -266,6 +264,8 @@ def polish_eigenpair(kind, A, lam, u):
         nrm = np.max(np.abs(Fv))
         if nrm > 10.0 * max(prev, 1e-12):
             break
+        if nrm < best[2]:
+            best = (lam, x.copy(), nrm)
     lam, x, nrm = best
     if nrm <= POLISH_TOL * scale:
         return lam, x, True
@@ -302,16 +302,6 @@ _ENDINGS = {"no-eigenvalue": Termination.CERTIFIED_COMPLETE,
             "unresolved": Termination.BUDGET}
 
 
-# the statuses whose results the order loop may pass on, once verified
-_USABLE = (SolveStatus.OPTIMAL, SolveStatus.PRIMAL_INFEASIBLE, SolveStatus.INACCURATE)
-
-
-def _merit(sol):
-    """The largest of a solution's primal residual, dual residual and gap."""
-    return max(sol.metrics.get(name, 1.0)
-               for name in ("primal_residual", "dual_residual", "gap"))
-
-
 def _distinct(vectors):
     """Indices of the distinct vectors, in rounded lexicographic order.
 
@@ -342,17 +332,14 @@ class _Driver:
         self.log.append(kw)
 
     def _orders(self, family, build, ineqs, phase, delta=None):
-        """Solve one family's relaxations order by order; yield the usable ones.
+        """Solve one family's relaxations order by order; yield the verified ones.
 
         The orders run from the family's warm start ("min" or "max") to
-        k0 + kmax_offset.  One gate decides what a caller may read: an
-        OPTIMAL, PRIMAL_INFEASIBLE or INACCURATE result only once
-        verify_solution passes it, an INACCURATE one also only when the
-        primal and dual residuals and the gap it reports are all within
-        1e-5 (a NaN among them fails).  Yields (k, problem, solution,
-        report, value): report is verify_solution's, value the relaxation
-        value +-c.y recomputed from the problem data (None when
-        infeasible), whatever objective the solver reported.
+        k0 + kmax_offset.  One gate decides what a caller may read: a
+        result, whatever its status, only once verify_solution passes it.
+        Yields (k, problem, solution, report, value): report is
+        verify_solution's, value the relaxation value +-c.y recomputed
+        from the problem data (None when infeasible).
         """
         sys_, opts = self.system, self.opts
         kmax = sys_.k0 + opts.kmax_offset
@@ -361,8 +348,11 @@ class _Driver:
             sol = opts.solve(prob)
             self.sdp_solves += 1
             self.ipm_iterations += sol.iterations
-            sign = -1.0 if prob.maximize else 1.0
-            value = None if sol.y is None else float(sign * (prob.c @ sol.y))
+            report = verify_solution(prob, sol)
+            value = None
+            if sol.status is not SolveStatus.PRIMAL_INFEASIBLE and \
+                    report["checks"]["well_formed"]:
+                value = float((-1.0 if prob.maximize else 1.0) * (prob.c @ sol.y))
             entry = {"phase": phase, "k": k, "N": prob.num_vars,
                      "p": prob.eq_rows.shape[0],
                      "sides": [blk.side for blk in prob.blocks],
@@ -372,10 +362,6 @@ class _Driver:
             if delta is not None:
                 entry["delta"] = float(delta)
             self._record(**entry)
-            if sol.status not in _USABLE or \
-                    sol.status is SolveStatus.INACCURATE and not _merit(sol) <= 1e-5:
-                continue
-            report = verify_solution(prob, sol)
             if not report["ok"]:
                 self._record(phase=phase, k=k,
                              note=f"unverified {sol.status.value} result ignored")
@@ -383,18 +369,18 @@ class _Driver:
             yield k, prob, sol, report, value
 
     def _atoms(self, prob, sol, k, ineqs):
-        """Verified eigenpairs extracted from a usable solution, or None.
+        """Verified eigenpairs extracted from a verified solution, or None.
 
         Flat truncation and extraction escalate the rank threshold:
         clustered spectra put singular values arbitrarily close to any
         fixed cutoff, and coarser cutoffs see the cluster as one atom.  The
         reconstruction residual gate inside extraction keeps coarse
         readings honest, and the polish, residual and value gates after it
-        do the hard verification, so weight sums only need to be sane.
-        None when nothing extracts, else the list of :meth:`_verified_atoms`.
+        do the hard verification, so weight sums only need to be sane: to
+        sum to 1 within 1e-4.  None when nothing extracts, else the list of
+        :meth:`_verified_atoms`.
         """
         y = prob.lift(sol.y)
-        wtol = 1e-4 if sol.status is SolveStatus.OPTIMAL else 1e-3
         taus = [self.opts.tau_rank]
         while taus[-1] < 1e-3:
             taus.append(min(10.0 * taus[-1], 1e-3))
@@ -403,7 +389,7 @@ class _Driver:
             if t is None:
                 continue
             try:
-                measure = extract_atoms(y, t, tau, self.opts.seed, weight_sum_tol=wtol)
+                measure = extract_atoms(y, t, tau, self.opts.seed, weight_sum_tol=1e-4)
             except ExtractionError as exc:
                 self._record(phase="extract", k=k, tau_rank=tau,
                              note=f"extraction failed: {exc}")
@@ -440,7 +426,9 @@ class _Driver:
         bounds the largest eigenvalue below the cap from above), or a flat
         moment vector extracts verified eigenpairs whose largest eigenvalue
         is lam_i and whose value agrees with the relaxation optimum to
-        within the same threshold.
+        within the same threshold.  The upper bound is the relaxation value
+        plus ten times the larger of the duality gap and the dual residual
+        that verify_solution measured.
         Returns (passed, nu, atoms): nu is the best upper bound or None, or,
         with atoms, the largest verified eigenvalue at or below the cap.
         """
@@ -448,14 +436,14 @@ class _Driver:
         thresh = min(self.opts.eps_eq, 0.5 * delta)
         ineqs = self.base_ineqs + [Polynomial.constant(sys_.n, lam_i + delta) - sys_.f]
         best = None
-        for k, prob, sol, _report, value in self._orders(
+        for k, prob, sol, report, value in self._orders(
                 "max", build_max_relaxation, ineqs, "backward-max", delta):
             if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
                 # cannot happen below a cap above a true eigenvalue
                 self._record(phase="backward-max", k=k,
                              note="unexpected infeasibility in backward check")
                 continue
-            bound = value + 10.0 * _merit(sol) * (1.0 + abs(value))
+            bound = value + 10.0 * max(report["gap"], report["dual_residual"])
             if best is None or bound < best:
                 best = bound
             if bound <= lam_i + thresh:

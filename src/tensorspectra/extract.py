@@ -102,8 +102,8 @@ def extract_atoms(y, t, tau_rank=1e-6, seed=0, weight_sum_tol=WEIGHT_SUM_TOL):
     and weights solve the moment matching system.  Raises
     :class:`ExtractionError` when no separating random combination is
     found in MAX_REDRAWS draws or the reconstruction residual exceeds
-    RECON_TOL.  ``weight_sum_tol`` may be loosened for moment vectors from
-    low-accuracy solves.
+    RECON_TOL.  ``weight_sum_tol`` may be loosened where later checks
+    verify each atom, as the sweep driver's do.
     """
     n = y.n
     U, r = _moment_matrix_factor(y, t, tau_rank)

@@ -67,9 +67,17 @@ ITERATION_LIMIT one.  :func:`verify_solution` checks with VERIFY_FEAS and
 VERIFY_PSD.  :class:`SolverOptions` holds only the iteration budget
 ``max_iter``.
 
-Primal infeasibility is certified, never guessed: a returned dual ray
-(mu, Z_j) satisfies G^T mu + sum_j adj_j(Z_j) = 0, Z_j PSD, b.mu > 0,
-which is checkable by :func:`verify_solution` from the problem data alone.
+Primal infeasibility is certified, never guessed, by one rule: a dual
+ray is returned only once tau has collapsed against kappa, with
+G^T mu + sum_j adj_j(Z_j) within EPS_FEAS of zero relative to the ray's
+norm.  Scaled to b.mu = 1, it satisfies G^T mu + sum_j adj_j(Z_j) = 0,
+Z_j PSD, b.mu > 0, which is checkable from the problem data alone.
+
+A status is advice, not proof.  :func:`verify_solution` reads it only to
+choose the check: a PRIMAL_INFEASIBLE result is checked as a dual ray,
+any other as a primal-dual pair (y, mu, Z_j).  It never reads a result's
+objective or metrics, and fails, rather than raising on, a result whose
+arrays are missing or do not match the problem's shapes.
 """
 
 from __future__ import annotations
@@ -303,12 +311,11 @@ def solve(problem, options=None):
         cert_scale = np.linalg.norm(mu) + sum(np.linalg.norm(Zj) for Zj in Z)
         if bmu > EPS_FEAS * cert_scale:
             farkas = np.max(np.abs(rd + ws.c * tau))     # G^T mu + adj(Z)
-            strong = farkas <= 1e-2 * EPS_FEAS * ws.opscale * cert_scale
-            if (tau <= TAU_KAPPA_TOL * max(1.0, kappa) or strong) and \
+            if tau <= TAU_KAPPA_TOL * max(1.0, kappa) and \
                     farkas <= EPS_FEAS * ws.opscale * cert_scale:
                 scale = 1.0 / bmu
                 cert = {"mu": mu * scale, "blocks": [Zj * scale for Zj in Z]}
-                metrics["reason"] = "tau-kappa-collapse" if not strong else "strong-certificate"
+                metrics["reason"] = "tau-kappa-collapse"
                 return ConicSolution(status=SolveStatus.PRIMAL_INFEASIBLE,
                                      certificate=cert, metrics=metrics)
         cy = ws.c @ y
@@ -510,64 +517,82 @@ def solve(problem, options=None):
                          eq_duals=mub, block_duals=Zb, metrics=metrics)
 
 
+def _well_formed(ws, sol):
+    """Whether sol holds every array its check reads, each shaped as the problem's."""
+    def shaped(a, *shape):
+        return isinstance(a, np.ndarray) and a.dtype.kind in "iuf" and a.shape == shape
+
+    if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
+        cert = sol.certificate if isinstance(sol.certificate, dict) else {}
+        mu, Zs = cert.get("mu"), cert.get("blocks")
+    elif shaped(sol.y, ws.N):
+        mu, Zs = sol.eq_duals, sol.block_duals
+    else:
+        return False
+    return shaped(mu, ws.p) and isinstance(Zs, (list, tuple)) and \
+        len(Zs) == len(ws.sides) and all(shaped(Z, q, q) for Z, q in zip(Zs, ws.sides))
+
+
 def verify_solution(problem, sol):
     """Recompute residuals and certificate conditions from the problem data.
 
     Returns a dict of named boolean checks plus measured values; ``ok``
-    aggregates them.  Callers should trust an OPTIMAL, INACCURATE or
-    PRIMAL_INFEASIBLE result only after this passes.  An OPTIMAL or
-    INACCURATE result needs its duals: it passes only when y and the
-    duals are feasible and the duality gap c.y - b.mu is within the
-    tolerance on either side, so a feasible but suboptimal y fails.  A
-    result holding a value that is not finite fails the ``finite`` check,
-    and nothing else is computed.
+    aggregates them.  Callers should trust a result only after this
+    passes.  A PRIMAL_INFEASIBLE result is checked as a dual ray, any
+    other as a primal-dual pair: it passes only when y and the duals are
+    feasible and the duality gap c.y - b.mu is within the tolerance on
+    either side, so a feasible but suboptimal y fails.  A result missing
+    an array, or holding one of the wrong shape, fails ``well_formed``;
+    one holding a value that is not finite fails ``finite``.  Either
+    failure ends the check.
     """
     ws = _Workspace(problem)
-    report = {"status": sol.status.value}
-    checks = {}
-    if sol.status in (SolveStatus.OPTIMAL, SolveStatus.INACCURATE):
-        y = sol.y
-        duals = [] if sol.eq_duals is None else [sol.eq_duals, *sol.block_duals]
-        mats = ws.apply(y)
-        checks["finite"] = all(np.isfinite(a).all() for a in [y, *mats, *duals])
-    elif sol.status == SolveStatus.PRIMAL_INFEASIBLE:
-        mu, Zs = sol.certificate["mu"], sol.certificate["blocks"]
-        checks["finite"] = all(np.isfinite(a).all() for a in [mu, *Zs])
-    else:
-        checks["conclusive"] = False
-    finite = checks.get("finite", False)
-    if finite and sol.status in (SolveStatus.OPTIMAL, SolveStatus.INACCURATE):
-        eq_res = np.max(np.abs(ws.G @ y - ws.b)) if ws.p else 0.0
-        checks["equalities"] = eq_res <= VERIFY_FEAS * ws.normb
-        report["eq_residual"] = float(eq_res)
-        min_eigs = [float(scipy.linalg.eigvalsh(M)[0]) for M in mats]
-        report["block_min_eigs"] = min_eigs
-        checks["psd"] = all(e >= -VERIFY_PSD * max(1.0, abs(e)) for e in min_eigs) and \
-            min(min_eigs) >= -VERIFY_PSD * 10
-        checks["dual_feasibility"] = False
-        if duals:
-            dres = np.max(np.abs(ws.G.T @ sol.eq_duals + ws.adjoint(sol.block_duals)
-                                 - ws.c))
-            report["dual_residual"] = float(dres)
-            checks["dual_feasibility"] = dres <= VERIFY_FEAS * ws.normc * 10
-            pobj = ws.c @ y
-            dobj = ws.b @ sol.eq_duals
-            report["gap"] = float(abs(pobj - dobj))
-            tol = VERIFY_FEAS * (1.0 + abs(pobj)) * 10
-            checks["weak_duality"] = dobj <= pobj + tol
-            checks["duality_gap"] = pobj - dobj <= tol
-    elif finite:
-        nrm = np.linalg.norm(mu) + sum(np.linalg.norm(Zj) for Zj in Zs)
-        resid = np.max(np.abs(ws.G.T @ mu + ws.adjoint(Zs)))
-        bmu = ws.b @ mu
-        min_eigs = [float(scipy.linalg.eigvalsh(Zj)[0]) if Zj.size else 0.0
-                    for Zj in Zs]
-        report["farkas_residual"] = float(resid)
-        report["farkas_bmu"] = float(bmu)
-        report["farkas_block_min_eigs"] = min_eigs
-        checks["farkas_adjoint"] = resid <= VERIFY_FEAS * ws.opscale * max(1.0, nrm)
-        checks["farkas_psd"] = all(e >= -VERIFY_PSD * max(1.0, nrm) for e in min_eigs)
-        checks["farkas_positive"] = bmu > VERIFY_FEAS * max(nrm, 1e-30)
-    report["checks"] = checks
-    report["ok"] = bool(checks) and all(checks.values())
+    checks = {"well_formed": _well_formed(ws, sol)}
+    report = {"status": sol.status.value, "checks": checks}
+    if checks["well_formed"] and sol.status is SolveStatus.PRIMAL_INFEASIBLE:
+        _verify_ray(ws, sol.certificate["mu"], sol.certificate["blocks"], checks, report)
+    elif checks["well_formed"]:
+        _verify_pair(ws, sol.y, sol.eq_duals, sol.block_duals, checks, report)
+    report["ok"] = all(checks.values())
     return report
+
+
+def _verify_pair(ws, y, mu, Zs, checks, report):
+    """Primal and dual feasibility of (y, mu, Z_j) and their duality gap."""
+    mats = ws.apply(y)
+    checks["finite"] = all(np.isfinite(a).all() for a in [y, *mats, mu, *Zs])
+    if not checks["finite"]:
+        return
+    eq_res = np.max(np.abs(ws.G @ y - ws.b)) if ws.p else 0.0
+    checks["equalities"] = eq_res <= VERIFY_FEAS * ws.normb
+    report["eq_residual"] = float(eq_res)
+    min_eigs = [float(scipy.linalg.eigvalsh(M)[0]) for M in mats]
+    report["block_min_eigs"] = min_eigs
+    checks["psd"] = all(e >= -VERIFY_PSD for e in min_eigs)
+    dres = np.max(np.abs(ws.G.T @ mu + ws.adjoint(Zs) - ws.c))
+    report["dual_residual"] = float(dres)
+    checks["dual_feasibility"] = dres <= VERIFY_FEAS * ws.normc * 10
+    pobj = ws.c @ y
+    dobj = ws.b @ mu
+    report["gap"] = float(abs(pobj - dobj))
+    tol = VERIFY_FEAS * (1.0 + abs(pobj)) * 10
+    checks["weak_duality"] = dobj <= pobj + tol
+    checks["duality_gap"] = pobj - dobj <= tol
+
+
+def _verify_ray(ws, mu, Zs, checks, report):
+    """The Farkas conditions on the dual ray (mu, Z_j)."""
+    checks["finite"] = all(np.isfinite(a).all() for a in [mu, *Zs])
+    if not checks["finite"]:
+        return
+    nrm = np.linalg.norm(mu) + sum(np.linalg.norm(Zj) for Zj in Zs)
+    resid = np.max(np.abs(ws.G.T @ mu + ws.adjoint(Zs)))
+    bmu = ws.b @ mu
+    min_eigs = [float(scipy.linalg.eigvalsh(Zj)[0]) if Zj.size else 0.0
+                for Zj in Zs]
+    report["farkas_residual"] = float(resid)
+    report["farkas_bmu"] = float(bmu)
+    report["farkas_block_min_eigs"] = min_eigs
+    checks["farkas_adjoint"] = resid <= VERIFY_FEAS * ws.opscale * max(1.0, nrm)
+    checks["farkas_psd"] = all(e >= -VERIFY_PSD * max(1.0, nrm) for e in min_eigs)
+    checks["farkas_positive"] = bmu > VERIFY_FEAS * max(nrm, 1e-30)

@@ -114,6 +114,18 @@ def test_polish_fixed_point():
     assert np.max(np.abs(u - [0.0, 1.0])) < 1e-13
 
 
+def test_polish_keeps_its_last_step(monkeypatch):
+    # the one step allowed here reaches a residual of 3.6e-15 from 2.6e-8;
+    # the point a polish ends on is a candidate like every earlier one
+    monkeypatch.setattr("tensorspectra.driver.POLISH_MAX_ITER", 1)
+    system = EigenSystem("Z", fixtures.ex51())
+    u = system.normalize([1e-8, 1.0])
+    assert system.residual(23.0 + 1e-8, u) > 1e-8
+    lam, v, ok = polish_eigenpair(system, None, 23.0 + 1e-8, u)
+    assert ok
+    assert system.residual(lam, v) <= 1e-13
+
+
 def test_check_isolated_ex51():
     assert check_isolated("Z", fixtures.ex51(), 23.0, [0.0, 1.0]) == "isolated"
 
@@ -506,3 +518,52 @@ def test_faulty_maximizations_never_certify_a_wrong_spectrum(fault):
         assert all(system.residual(pair.value, v) <= 1e-7 for v in pair.vectors)
     if spec.termination == Termination.CERTIFIED_COMPLETE:
         assert spec.values == pytest.approx(honest.values, abs=1e-8)
+
+
+@pytest.mark.parametrize("status, fault", [
+    (SolveStatus.PRIMAL_INFEASIBLE, lambda sol: replace(sol, certificate=None)),
+    (SolveStatus.OPTIMAL, lambda sol: replace(sol, y=None)),
+    (SolveStatus.OPTIMAL, lambda sol: replace(sol, block_duals=None)),
+    (SolveStatus.OPTIMAL, lambda sol: replace(sol, y=sol.y[:-1])),
+    (SolveStatus.PRIMAL_INFEASIBLE, lambda sol: replace(
+        sol, certificate=dict(sol.certificate, mu=sol.certificate["mu"][:-1]))),
+], ids=["no-certificate", "no-y", "no-block-duals", "short-y", "short-farkas-mu"])
+def test_malformed_results_end_the_sweep_without_raising(status, fault):
+    # a result missing an array, or holding one of the wrong shape, fails
+    # verify_solution's well_formed check instead of raising out of
+    # full_sweep, and the sweep ends uncertified with what it found
+    def solver(problem, options):
+        sol = solve(problem, options)
+        return fault(sol) if sol.status is status else sol
+
+    A = Tensor(np.random.default_rng(3).standard_normal((2, 2, 2, 2)))
+    honest = full_sweep("Z", A)
+    spec = full_sweep("Z", A, SweepOptions(solver=solver))
+    assert honest.termination == Termination.CERTIFIED_COMPLETE
+    assert spec.termination == Termination.BUDGET
+    assert spec.values == honest.values[:len(spec.values)]
+    assert any(e.get("note", "").startswith(f"unverified {status.value}")
+               for e in spec.log)
+
+
+@pytest.mark.parametrize("status", [SolveStatus.INACCURATE, SolveStatus.ITERATION_LIMIT])
+@pytest.mark.parametrize("make, nonneg", [
+    (fixtures.ex51, False), (lambda: fixtures.ex57(2), True)], ids=["ex51", "ex57(2)"])
+def test_solver_status_and_metrics_are_advisory(status, make, nonneg):
+    # every honest optimum, relabelled as unconverged with residuals and a
+    # gap of 1e-3 reported, is still read: the sweep trusts what
+    # verify_solution recomputes, not what the solver says of itself
+    def solver(problem, options):
+        sol = solve(problem, options)
+        if sol.status is not SolveStatus.OPTIMAL:
+            return sol
+        metrics = dict(sol.metrics, primal_residual=1e-3, dual_residual=1e-3, gap=1e-3)
+        return replace(sol, status=status, metrics=metrics)
+
+    A = make()
+    honest = full_sweep("Z", A, SweepOptions(nonneg=nonneg))
+    spec = full_sweep("Z", A, SweepOptions(nonneg=nonneg, solver=solver))
+    assert honest.termination == Termination.CERTIFIED_COMPLETE
+    assert spec.termination == honest.termination
+    assert spec.values == honest.values
+    assert spec.counters == honest.counters

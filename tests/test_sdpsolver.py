@@ -126,7 +126,7 @@ def test_unbounded_problem_yields_dual_infeasibility_ray(build):
     # with only the moment matrix constraint, min y_x1 and max y_x1^2 are
     # unbounded; without the ray test the k = 2 minimization ends
     # INACCURATE at merit 1.3e-6 with a y that verify_solution passes, which
-    # the driver's 1e-5 gate on INACCURATE results would accept
+    # the driver, which reads no solver merit, would accept
     x = Polynomial.variable(2, 0)
     prob = build(x)
     sol = solve(prob)
