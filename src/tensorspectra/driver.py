@@ -5,10 +5,11 @@ of moment relaxations: an infeasible relaxation certifies that no (further)
 eigenvalue exists; an optimal one with a flat moment vector yields the
 eigenvalue and its eigenvectors by atom extraction.  Between eigenvalues,
 a backward maximization confirms that nothing hides inside the step gap
-delta.  When the check fails by extracting a verified eigenvalue nu inside
-the gap, the next gap is placed below nu: delta becomes the smaller of
-the usual shrink and half the distance to nu, and the next check starts
-at the order that saw nu.  Any other failure just shrinks delta.
+delta; only its verified upper bound collapsing onto lam_i passes a gap.
+When the check fails by extracting a verified eigenvalue nu inside the
+gap, the next gap is placed below nu: delta becomes the smaller of the
+usual shrink and half the distance to nu, and the next check starts at
+the order that saw nu.  Any other failure just shrinks delta.
 Persistent failure of that check is the signature of a continuum of
 eigenvalues, reported as such rather than as a certified complete
 spectrum.
@@ -41,7 +42,8 @@ its floor delta_min, the order budget kmax_offset, the residual, equality,
 dedup and rank tolerances, the extraction seed, ``nonneg`` and the solver
 hook.  What no caller varies is a module constant: DELTA_SHRINK divides a
 gap whose check failed, TAU_JAC decides isolation, MAX_STEPS caps the
-eigenvalues of one sweep, and POLISH_MAX_ITER, POLISH_TOL, PRE_POLISH_TOL
+eigenvalues of one sweep, VALUE_MATCH_TOL matches an extracted eigenvalue
+to its relaxation value, and POLISH_MAX_ITER, POLISH_TOL, PRE_POLISH_TOL
 and VEC_DEDUP_TOL bound Newton polishing and vector deduplication.
 """
 
@@ -68,6 +70,7 @@ VEC_DEDUP_TOL = 1e-5     # eigenvectors closer than this are the same vector
 DELTA_SHRINK = 5.0       # a failed backward check divides the step gap by this
 TAU_JAC = 1e-6           # least relative Jacobian singular value of an isolated pair
 MAX_STEPS = 64           # eigenvalues one sweep may find before it ends "budget"
+VALUE_MATCH_TOL = 2e-5   # extracted eigenvalue vs relaxation value, relative to 1 + |lam|
 
 
 class Kind(Enum):
@@ -235,11 +238,12 @@ class EigenSystem:
 def polish_eigenpair(kind, A, lam, u):
     """Newton refinement of an approximate eigenpair on F(lam, x) = 0.
 
-    Returns (lam, u, polished).  Near-singular Jacobians fall back to
-    minimum-norm least-squares steps, which still converge onto a solution
-    manifold.  The iteration runs at most POLISH_MAX_ITER steps toward a
-    residual of POLISH_TOL * (1 + |lam|); if it diverges or stalls above
-    that target, the best point seen is returned with polished=False.
+    Returns (lam, u, polished).  Each step is the minimum-norm least-squares
+    Newton step, which still converges onto a solution manifold where the
+    Jacobian is near-singular.  The iteration runs at most POLISH_MAX_ITER
+    steps toward a residual of POLISH_TOL * (1 + |lam|); if it diverges or
+    stalls above that target, the best point seen is returned with
+    polished=False.
     """
     system = kind if isinstance(kind, EigenSystem) else EigenSystem(kind, A)
     lam = float(lam)
@@ -250,13 +254,8 @@ def polish_eigenpair(kind, A, lam, u):
     best = (lam, x.copy(), nrm)
     for _ in range(POLISH_MAX_ITER):
         if nrm <= POLISH_TOL * scale:
-            return lam, x, True
-        J = system.jacobian(lam, x)
-        sv = np.linalg.svd(J, compute_uv=False)
-        if sv[-1] > 1e-10 * sv[0]:
-            step = np.linalg.solve(J, -Fv)
-        else:
-            step, *_ = np.linalg.lstsq(J, -Fv, rcond=1e-10)
+            break
+        step, *_ = np.linalg.lstsq(system.jacobian(lam, x), -Fv, rcond=1e-10)
         lam += step[0]
         x += step[1:]
         prev = nrm
@@ -267,9 +266,7 @@ def polish_eigenpair(kind, A, lam, u):
         if nrm < best[2]:
             best = (lam, x.copy(), nrm)
     lam, x, nrm = best
-    if nrm <= POLISH_TOL * scale:
-        return lam, x, True
-    return float(lam), x, False
+    return float(lam), x, bool(nrm <= POLISH_TOL * scale)
 
 
 def check_isolated(kind, A, lam, u):
@@ -300,6 +297,18 @@ _ENDINGS = {"no-eigenvalue": Termination.CERTIFIED_COMPLETE,
             "no-more": Termination.CERTIFIED_COMPLETE,
             "non-isolated": Termination.CONTINUUM_SUSPECTED,
             "unresolved": Termination.BUDGET}
+
+
+def _iterations(sol):
+    """The iteration count a solver result reports, 0 unless it is an integer."""
+    metrics = getattr(sol, "metrics", None)
+    count = metrics.get("iterations") if isinstance(metrics, dict) else None
+    return int(count) if isinstance(count, numbers.Integral) else 0
+
+
+def _matches(lam, value):
+    """Whether an extracted eigenvalue lam reproduces the relaxation value."""
+    return abs(lam - value) <= VALUE_MATCH_TOL * (1.0 + abs(lam))
 
 
 def _distinct(vectors):
@@ -346,17 +355,18 @@ class _Driver:
         for k in range(min(self._warm.get(family, sys_.k0), kmax), kmax + 1):
             prob = build(sys_.f, sys_.h, ineqs, k, store=self._relaxations)
             sol = opts.solve(prob)
+            iterations = _iterations(sol)
             self.sdp_solves += 1
-            self.ipm_iterations += sol.iterations
+            self.ipm_iterations += iterations
             report = verify_solution(prob, sol)
             value = None
-            if sol.status is not SolveStatus.PRIMAL_INFEASIBLE and \
-                    report["checks"]["well_formed"]:
+            if report["checks"]["well_formed"] and \
+                    sol.status is not SolveStatus.PRIMAL_INFEASIBLE:
                 value = float((-1.0 if prob.maximize else 1.0) * (prob.c @ sol.y))
             entry = {"phase": phase, "k": k, "N": prob.num_vars,
                      "p": prob.eq_rows.shape[0],
                      "sides": [blk.side for blk in prob.blocks],
-                     "status": sol.status.value, "iterations": sol.iterations}
+                     "status": report["status"], "iterations": iterations}
             if value is not None:
                 entry["value"] = value
             if delta is not None:
@@ -364,7 +374,7 @@ class _Driver:
             self._record(**entry)
             if not report["ok"]:
                 self._record(phase=phase, k=k,
-                             note=f"unverified {sol.status.value} result ignored")
+                             note=f"unverified {report['status']} result ignored")
                 continue
             yield k, prob, sol, report, value
 
@@ -421,16 +431,16 @@ class _Driver:
     def _backward_check(self, lam_i, delta):
         """Confirm no eigenvalue hides in (lam_i, lam_i + delta].
 
-        Passes when either the maximization relaxation's upper bound
-        collapses onto lam_i (sound on its own: the relaxation value always
-        bounds the largest eigenvalue below the cap from above), or a flat
-        moment vector extracts verified eigenpairs whose largest eigenvalue
-        is lam_i and whose value agrees with the relaxation optimum to
-        within the same threshold.  The upper bound is the relaxation value
-        plus ten times the larger of the duality gap and the dual residual
-        that verify_solution measured.
+        The maximization relaxation under the cap f <= lam_i + delta bounds
+        every eigenvalue below the cap from above, so the check passes
+        only when that bound is within thresh of lam_i: the relaxation
+        value plus ten times the larger of the duality gap and the dual
+        residual that verify_solution measured.  Otherwise a flat moment
+        vector may extract a verified eigenvalue nu inside the gap; when nu
+        matches the relaxation value (:func:`_matches`), the next gap is
+        placed below it.
         Returns (passed, nu, atoms): nu is the best upper bound or None, or,
-        with atoms, the largest verified eigenvalue at or below the cap.
+        with atoms, the extracted eigenvalue inside the gap.
         """
         sys_ = self.system
         thresh = min(self.opts.eps_eq, 0.5 * delta)
@@ -447,32 +457,22 @@ class _Driver:
             if best is None or bound < best:
                 best = bound
             if bound <= lam_i + thresh:
-                return self._passed(k, bound, False)
-            # flat + verified atoms pin the true maximum below the bound
+                # the next check starts one order lower; the shifted
+                # minimization over this gap no lower than k (module docstring)
+                self._warm["max"] = max(sys_.k0, k - 1)
+                self._warm["min"] = max(self._warm.get("min", sys_.k0), k)
+                return True, float(bound), False
             atoms = self._atoms(prob, sol, k, ineqs)
             if not atoms:
                 continue
             nu_atoms = max(lam for lam, _, _ in atoms)
             self._record(phase="backward-max", k=k, nu_atoms=float(nu_atoms))
-            if abs(nu_atoms - lam_i) <= thresh and value - nu_atoms <= thresh:
-                return self._passed(k, nu_atoms, True)
-            consistent = value - nu_atoms <= 1e-3 * (1.0 + abs(nu_atoms))
-            if consistent and nu_atoms > lam_i + thresh:
+            if _matches(nu_atoms, value) and nu_atoms > lam_i + thresh:
                 # a genuine eigenvalue sits inside the gap; the next gap ends
                 # below it, and this order already sees it
                 self._warm["max"] = k
                 return False, float(nu_atoms), True
         return False, best, False
-
-    def _passed(self, k, nu, atoms):
-        """The result of a backward check that passed at order k.
-
-        The next check starts one order lower; the shifted minimization
-        over this gap starts no lower than k (see the module docstring).
-        """
-        self._warm["max"] = max(self.system.k0, k - 1)
-        self._warm["min"] = max(self._warm.get("min", self.system.k0), k)
-        return True, float(nu), atoms
 
     def _verified_atoms(self, points, k, ineqs):
         """Polish extracted points into verified eigenpairs.
@@ -513,8 +513,8 @@ class _Driver:
         """One eigenpair from the verified (lam, v, residual) pairs, or None.
 
         ``pairs`` is None when nothing was extracted.  The polished
-        eigenvalue must reproduce the relaxation optimum, which flat
-        truncation guarantees for a genuinely converged order.
+        eigenvalue must reproduce the relaxation optimum (:func:`_matches`),
+        which flat truncation guarantees for a genuinely converged order.
         """
         sys_, opts = self.system, self.opts
         if pairs is None:
@@ -527,7 +527,7 @@ class _Driver:
         lam_min = min(p[0] for p in pairs)
         cluster = [p for p in pairs if p[0] - lam_min <= opts.eps_dedup]
         value_out = float(np.median([p[0] for p in cluster]))
-        if abs(value_out - sdp_value) > 2e-5 * (1.0 + abs(value_out)):
+        if not _matches(value_out, sdp_value):
             self._record(phase="accept", k=k, value=float(value_out),
                          note=f"eigenvalue disagrees with relaxation optimum "
                               f"{sdp_value:.8f}; order not converged")
