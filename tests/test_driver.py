@@ -12,7 +12,8 @@ from tensorspectra.driver import (EigenSystem, Eigenpair, StepResult, SweepOptio
                                   h_count_bound, h_system, next_eigenvalue,
                                   polish_eigenpair, smallest_eigenvalue, z_system)
 from tensorspectra.poly import Polynomial, tensor_to_poly
-from tensorspectra.sdpsolver import SolveStatus, SolverOptions, solve, verify_solution
+from tensorspectra.sdpsolver import (MOMENT_MARGIN, SolveStatus, SolverOptions, solve,
+                                     verify_solution)
 from tensorspectra.tensor import Tensor, identity_tensor
 
 
@@ -627,32 +628,83 @@ def test_hook_faults_end_the_sweep_without_raising(fault, verified):
         assert any(e.get("note") == "unverified malformed result ignored" for e in spec.log)
 
 
-def _loose_dual(problem, options):
+def _loose_dual(problem, options, verified):
     """The honest result, with each OPTIMAL maximization's dual loosened.
 
-    One equality dual, of the row j >= 1 with the largest entry, moves by
-    1e-4 / max|G_j|, kept only where verify_solution still passes it.  The
-    backward bound then sits about 1e-3 above the relaxation value.
+    One equality dual, of the row j >= 1 with the largest l1 norm, moves
+    by 1.5e-4 / ||G_j||_1.  b.mu stays, and c - G^T mu - adj Z grows by
+    1.5e-4 in l1, so the proven bound moves about 1.5e-4 up, past the
+    1e-4 within which a gap passes.  Each loosened result's
+    verify_solution check, which reads the duals only for the bound, is
+    appended to ``verified``.
     """
     sol = solve(problem, options)
     if not problem.maximize or sol.status is not SolveStatus.OPTIMAL:
         return sol
-    largest = np.max(np.abs(problem.eq_rows[1:]), axis=1)
-    j = 1 + int(np.argmax(largest))
+    norms = np.sum(np.abs(problem.eq_rows[1:]), axis=1)
+    j = 1 + int(np.argmax(norms))
     mu = sol.eq_duals.copy()
-    mu[j] += 1e-4 / largest[j - 1]
+    mu[j] += 1.5e-4 / norms[j - 1]
     loose = replace(sol, eq_duals=mu)
-    return loose if verify_solution(problem, loose)["ok"] else sol
+    verified.append(verify_solution(problem, loose)["ok"])
+    return loose
 
 
 def test_only_the_bound_passes_a_gap():
-    # with the dual loose but verified, atoms at lam_i that match the
-    # relaxation value once passed both ex51 Z gaps and certified the sweep
-    spec = full_sweep("Z", fixtures.ex51(), SweepOptions(solver=_loose_dual))
+    # a loose dual still proves a bound, only a useless one: no gap passes,
+    # no check sees an eigenvalue inside its gap, and the sweep ends
+    # unresolved with the first value, neither certified nor a continuum
+    verified = []
+    spec = full_sweep("Z", fixtures.ex51(), SweepOptions(
+        solver=lambda problem, options: _loose_dual(problem, options, verified)))
     checks = [e for e in spec.log if e.get("phase") == "backward-check"]
-    assert not any(e["passed"] and e["atoms"] for e in checks)
-    assert spec.termination != Termination.CERTIFIED_COMPLETE
-    assert any(e["nu"] is not None and e["nu"] - e["lam"] > 5e-4 for e in checks)
+    assert verified and all(verified)
+    assert checks and not any(e["passed"] or e["atoms"] for e in checks)
+    assert all(e["nu"] - e["lam"] > 1e-4 for e in checks)
+    assert spec.termination == Termination.BUDGET
+    assert spec.values == pytest.approx([23.0], abs=5e-4)
+
+
+def _order4_rays_unusable(problem, options):
+    sol = solve(problem, options)
+    if problem.k == 4 and sol.status is SolveStatus.PRIMAL_INFEASIBLE:
+        return replace(sol, status=SolveStatus.ITERATION_LIMIT)
+    return sol
+
+
+def test_a_high_order_ray_certifies_the_sweep():
+    # with its order-4 rays unusable, ex56 Z ends on the order-5 ray, whose
+    # certificate norm is near 2e6 against b.mu = 1: proven all the same
+    honest = full_sweep("Z", fixtures.ex56())
+    spec = full_sweep("Z", fixtures.ex56(), SweepOptions(solver=_order4_rays_unusable))
+    assert honest.termination == spec.termination == Termination.CERTIFIED_COMPLETE
+    assert spec.values == honest.values
+    assert spec.counters["sdp_solves"] == honest.counters["sdp_solves"] + 1
+    last = [e for e in spec.log if "status" in e][-1]
+    assert (last["k"], last["status"]) == (5, "primal-infeasible")
+
+
+@pytest.mark.parametrize("kind", ["Z", "H"])
+@pytest.mark.parametrize("make", [fixtures.ex51, fixtures.ex52, fixtures.ex56,
+                                  lambda: fixtures.ex57(2)],
+                         ids=["ex51", "ex52", "ex56", "ex57(2)"])
+def test_verified_moments_obey_the_moment_bound(kind, make):
+    # a falsifier of the theorem every proof rests on (sdpsolver): no
+    # verified moment vector of a sweep leaves [-1, 1], with m0 = 2 (Z, and
+    # H of ex52) and m0 = 4 (H of ex51, ex56 and ex57(2))
+    largest = []
+
+    def solver(problem, options):
+        sol = solve(problem, options)
+        if sol.status is not SolveStatus.PRIMAL_INFEASIBLE and \
+                verify_solution(problem, sol)["ok"]:
+            assert problem.moment_bound == 1.0
+            largest.append(float(np.max(np.abs(sol.y))))
+        return sol
+
+    spec = full_sweep(kind, make(), SweepOptions(solver=solver))
+    assert spec.termination == Termination.CERTIFIED_COMPLETE
+    assert largest and max(largest) <= 1.0 + MOMENT_MARGIN
 
 
 def test_every_passed_gap_is_certified_by_its_bound():

@@ -494,6 +494,23 @@ def test_parity_detection():
     assert build_min_relaxation(f, [f - 1.0], [x], 2).num_vars == 15
 
 
+def test_moment_bound_needs_an_even_sphere():
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    f = x * y
+    for eqs in ([x * x + y * y - 1.0], [x * y, x ** 4 + y ** 4 - 1.0]):
+        assert build_min_relaxation(f, eqs, [], 2).moment_bound == 1.0
+        assert build_max_relaxation(f, eqs, [f], 2).moment_bound == 1.0
+    for eqs in ([], [x * x + y * y - 2.0], [x * x - 1.0], [x ** 3 + y ** 3 - 1.0],
+                [x * x + y * y + x - 1.0]):
+        assert build_min_relaxation(f, eqs, [], 2).moment_bound is None
+    # every Z and H system of the sweep carries the bound
+    for A in (fixtures.ex51(), fixtures.ex52(), fixtures.ex57(2)):
+        for kind in ("Z", "H"):
+            system = EigenSystem(kind, A)
+            prob = build_min_relaxation(system.f, system.h, [], system.k0)
+            assert prob.moment_bound == 1.0
+
+
 def test_lift_and_top_degree_follow_the_support():
     f, hs = z_system(fixtures.ex51())
     prob = build_min_relaxation(f, hs, [], 3)

@@ -1,7 +1,10 @@
 import copy
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 import fixtures
@@ -77,6 +80,94 @@ def test_verify_rejects_corrupted_point():
     assert report["eq_residual"] > 1e-6
     assert not report["checks"]["equalities"]
     assert not report["ok"]
+
+
+def _ex56_z_above_the_top(k):
+    # the last step of the ex56 Z sweep: the minimization above its largest
+    # eigenvalue 0.4571724 plus the step gap 0.05, which is infeasible
+    f, hs = z_system(fixtures.ex56())
+    return build_min_relaxation(f, hs, [f - (0.4571724209083913 + 0.05)], k)
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_high_order_rays_are_proven_and_scaled_ones_are_not(k):
+    # the honest rays have certificate norms near 2e6 and 4e6 against
+    # b.mu = 1: a proof needs no tolerance relative to that norm.  With mu
+    # scaled by 1.1, b.mu is 1.1 and the slack over 100: nothing is proven
+    prob = _ex56_z_above_the_top(k)
+    sol = solve(prob)
+    assert sol.status is SolveStatus.PRIMAL_INFEASIBLE
+    report = verify_solution(prob, sol)
+    assert report["ok"], report
+    assert report["farkas_bmu"] == pytest.approx(1.0)
+    assert report["slack"] < 1e-6
+    scaled = replace(sol, certificate=dict(sol.certificate, mu=1.1 * sol.certificate["mu"]))
+    report = verify_solution(prob, scaled)
+    assert report["checks"]["finite"] and not report["checks"]["proven"]
+    assert not report["ok"]
+
+
+def test_an_indefinite_ray_block_proves_nothing():
+    # a symmetric direction N in the kernel of the moment block's adjoint
+    # leaves G^T mu + adj Z as it is; Z + t N with a negative eigenvalue
+    # below -1 then leaves b.mu = 1 under the slack it adds to the ray's
+    prob = _ex56_z_above_the_top(4)
+    sol = solve(prob)
+    block = prob.blocks[0]
+    N = scipy.linalg.null_space(block.matrix.toarray().T)[:, 0].reshape(block.side, block.side)
+    N = N + N.T
+    if scipy.linalg.eigvalsh(N)[0] >= 0.0:
+        N = -N
+    Zs = [Z.copy() for Z in sol.certificate["blocks"]]
+    Zs[0] += N * (scipy.linalg.eigvalsh(Zs[0])[-1] + 1.0) / -scipy.linalg.eigvalsh(N)[0]
+    assert scipy.linalg.eigvalsh(Zs[0])[0] <= -1.0 + 1e-9
+    assert np.max(np.abs(block.matrix.T @ (Zs[0] - sol.certificate["blocks"][0]).ravel())) < 1e-9
+    report = verify_solution(prob, replace(sol, certificate=dict(sol.certificate, blocks=Zs)))
+    assert report["farkas_bmu"] == pytest.approx(1.0) and report["slack"] > 1.0
+    assert not report["checks"]["proven"]
+
+
+def test_without_a_moment_bound_nothing_is_proven():
+    prob = _ex56_z_above_the_top(4)
+    assert prob.moment_bound == 1.0
+    sol = solve(prob)
+    assert verify_solution(prob, sol)["ok"]
+    report = verify_solution(replace(prob, moment_bound=None), sol)
+    assert report["slack"] == np.inf
+    assert not report["checks"]["proven"] and not report["ok"]
+    # a pair still passes on its y, and its duals prove no finite bound
+    toy = _toy_min()
+    pair = solve(toy)
+    assert verify_solution(toy, pair)["bound"] == pytest.approx(1.0, abs=1e-6)
+    report = verify_solution(replace(toy, moment_bound=None), pair)
+    assert report["ok"] and report["bound"] == -np.inf
+
+
+def test_pair_bound_holds_in_the_problem_sense():
+    # the bound of a minimization lies below c.y, of a maximization above
+    f, hs = z_system(fixtures.ex51())
+    for build in (build_min_relaxation, build_max_relaxation):
+        prob = build(f, hs, [], 4)
+        sol = solve(prob)
+        value = (-1.0 if prob.maximize else 1.0) * float(prob.c @ sol.y)
+        report = verify_solution(prob, sol)
+        assert report["ok"]
+        assert sol.objective == pytest.approx(value)
+        assert abs(report["bound"] - value) <= 1e-5
+        assert (report["bound"] >= value) == prob.maximize
+
+
+def test_verify_reports_survive_json():
+    # checks are Python bools and values floats, for a pair, a ray and a
+    # malformed result alike
+    toy = _toy_min()
+    ray = _ex56_z_above_the_top(4)
+    for prob, sol in ((toy, solve(toy)), (ray, solve(ray)), (toy, None)):
+        report = verify_solution(prob, sol)
+        assert json.loads(json.dumps(report)) == report
+        assert all(type(v) is bool for v in report["checks"].values())
+        assert all(type(v) in (float, list) for k, v in report.items()
+                   if k not in ("status", "checks", "ok"))
 
 
 def test_weak_duality_on_optimal():
