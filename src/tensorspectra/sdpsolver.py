@@ -48,12 +48,23 @@ proportion to the sum of the squared block sides: 50² + 34² = 3656 for
 the parts of ex56 H's moment block at k = 6, against 84² = 7056 whole.
 
 The relaxations are small (a few dozen moments on n = 2 tensors), so the
-iteration is bound by per-call overhead rather than arithmetic.  Each
-block operator is applied, and its adjoint taken, as one ``np.bincount``
-over the block's stored (row, column, value) entries, which sums in the
-order of the sparse matrix products; the NT factors and the step lengths
-call LAPACK (potrf, gesdd, syevd) directly, without the ``np.linalg``
-wrappers.
+iteration is bound by per-call overhead rather than arithmetic.  All PSD
+blocks of a relaxation are one flat vector, each block's matrix row-major
+in its own span (:class:`_Cone`), so each elementwise step is one numpy
+expression over every block: the residual, the symmetric part as
+(x + x[T]) / 2 with T the transpose permutation, the right-hand sides of
+the step equations, the step-length scaling, the refinement sums and the
+updates of S and Z.  The blocks are applied as one ``np.bincount`` over
+their concatenated stored (row, column, value) entries, which sums in the
+order of the sparse matrix products; the adjoint takes one bincount per
+block and adds them in block order.  Only linear algebra stays per block:
+the NT factors, the congruences, written into block views of buffers made
+once per solve, the Schur assembly and the step lengths' eigenvalues.
+Per-block maxima come from ``np.maximum.reduceat``, which is exact, and
+per-block sums from ``np.sum`` over each block's span, so every iterate is
+bit for bit that of a loop over separate block matrices.  The NT factors
+and the step lengths call LAPACK (potrf, gesdd, syevd) directly, without
+the ``np.linalg`` wrappers.
 
 A solve that ends without converging returns its best iterate, with
 ``iterations`` the steps it ran and ``best_iteration`` the step count at
@@ -116,13 +127,15 @@ c.y = b.mu + sum_j <Z_j, block_j(y)> + r.y, and -r has the slack of r,
 so any (mu, Z_j) proves the minimum of c.y to be at least b.mu minus the
 slack.  A poor dual proves a poor bound, never a wrong one.
 
-Margin.  The check computes in floating point, without directed
-rounding, and takes Y = moment_bound + MOMENT_MARGIN.  The margin stands
-for the equality rows that :mod:`momentsdp` drops as dependent only to
-EQ_RANK_TOL, and for the rounding of the slack's own sums.  The rounding
-of r itself, about machine epsilon times the summed magnitudes of its
-terms, is not added: on the largest certificates the sweep meets (the
-ex56 Z rays at k = 6, norm 3.8e6) it is 3e-8, against b.mu = 1.
+Rounding.  The check computes in floating point, without directed
+rounding.  The r it computes differs from the exact r by at most rho in
+the 1-norm, a bound from the terms' magnitudes and counts (see
+:func:`_slack`), so the slack takes ||r||_1 + rho: 8.3e-8 and 2.2e-7 on
+the largest certificates the sweep meets (the ex56 Z rays at k = 5 and 6,
+norm 3.8e6 at k = 6), against b.mu = 1.  Y = moment_bound + MOMENT_MARGIN;
+the margin stands for the equality rows that :mod:`momentsdp` drops as
+dependent only to EQ_RANK_TOL, and for the rounding of the slack's own
+sums.
 """
 
 from __future__ import annotations
@@ -198,29 +211,76 @@ def _nt_scaling(S, Z):
     return R, Rinv, sig
 
 
-def _scaled_step(sig, Ds, Dz):
-    """Largest a with S + a dS and Z + a dZ both still PSD.
+def _scaled_step(cone, hh, Ds, Dz):
+    """Largest a with S + a dS and Z + a dZ both still PSD, in every block.
 
-    With NT factors of (S, Z), R^-1 (S + a dS) R^-T = diag(sig) + a Ds and
-    R^T (Z + a dZ) R = diag(sig) + a Dz, so the step follows from the
-    eigenvalues of diag(sig)^-1/2 [Ds, Dz] diag(sig)^-1/2.  A direction
-    that is not finite, or whose eigenvalues LAPACK cannot compute, gets
-    step 0.
+    With NT factors of (S_j, Z_j), R^-1 (S + a dS) R^-T = diag(sig) + a Ds
+    and R^T (Z + a dZ) R = diag(sig) + a Dz, so the step follows from the
+    eigenvalues of diag(sig)^-1/2 [Ds, Dz] diag(sig)^-1/2; ``hh`` holds
+    sig_i^-1/2 sig_l^-1/2 at cell (i, l) of each block.  A direction that
+    is not finite, or whose eigenvalues LAPACK cannot compute, gets step 0.
     """
-    h = sig ** -0.5
-    hh = np.outer(h, h)
     lam = np.inf
     for D in (Ds, Dz):
         M = D * hh
         if not np.isfinite(M).all():
             return 0.0
-        w, _v, info = lapack.dsyevd(M, compute_v=0, lower=1)
-        if info != 0:
-            return 0.0
-        lam = min(lam, w[0])
+        for Mj in cone.views(M):
+            w, _v, info = lapack.dsyevd(Mj, compute_v=0, lower=1)
+            if info != 0:
+                return 0.0
+            lam = min(lam, w[0])
     if lam >= 0.0:
         return np.inf
     return 1.0 / (-lam)
+
+
+class _Cone:
+    """The PSD blocks of a relaxation laid out as one flat vector.
+
+    Block j, of side q_j, occupies ``spans[j]`` as its q_j x q_j matrix in
+    row-major order.  ``T`` permutes the vector to the blocks' transposes,
+    ``diag`` holds the positions of the diagonal cells, and ``row`` and
+    ``col`` index cell (i, l) of block j into a vector of length ``dim``
+    that concatenates one value per row of each block, such as the NT
+    scaling's sigma.
+    """
+
+    def __init__(self, sides):
+        self.sides = list(sides)
+        starts = np.cumsum([0] + [q * q for q in self.sides])
+        firsts = np.cumsum([0] + self.sides)
+        self.size = int(starts[-1])
+        self.dim = int(firsts[-1])
+        self.starts = starts[:-1]
+        self.spans = [slice(a, a + q * q) for a, q in zip(starts, self.sides)]
+        T, diag, row, col = [], [], [], []
+        for a, d, q in zip(starts, firsts, self.sides):
+            cells = np.arange(q * q).reshape(q, q)
+            T.append(a + cells.T.ravel())
+            diag.append(a + np.arange(q) * (q + 1))
+            row.append(d + cells.ravel() // q)
+            col.append(d + cells.ravel() % q)
+        self.T, self.diag, self.row, self.col = map(np.concatenate, (T, diag, row, col))
+        self.eye = np.zeros(self.size)
+        self.eye[self.diag] = 1.0
+
+    def views(self, x):
+        """Block j of the flat x as a q_j x q_j view."""
+        return [x[s].reshape(q, q) for s, q in zip(self.spans, self.sides)]
+
+    def flatten(self, mats):
+        """The flat vector of block matrices, one per block."""
+        return np.concatenate([np.ravel(M) for M in mats])
+
+    def sym(self, x):
+        """The symmetric part (X_j + X_j^T) / 2 of every block."""
+        return (x + x[self.T]) / 2.0
+
+    def block_sums(self, x):
+        """The sum of x over every block, each block summed on its own and
+        the block sums added in block order."""
+        return sum(np.sum(x[s]) for s in self.spans)
 
 
 class _Workspace:
@@ -234,16 +294,20 @@ class _Workspace:
         self.moment_bound = problem.moment_bound
         self.p, self.N = self.G.shape
         self.blocks = problem.blocks
-        self.sides = [blk.side for blk in problem.blocks]
-        # each block's stored entries as (row, column, value), taken once: a
-        # bincount over them sums in the order of the csr/csc products and
-        # skips their per-call dispatch
-        self.entries = []
-        for blk in problem.blocks:
+        self.cone = _Cone(blk.side for blk in problem.blocks)
+        # the blocks' stored entries as (row, column, value), concatenated
+        # with each row moved to its cell of the flat cone vector: a bincount
+        # over them sums in the order of the csr/csc products and skips their
+        # per-call dispatch.  ``entry_spans[j]`` holds block j's entries.
+        rows, cols, data = [], [], []
+        for blk, start in zip(problem.blocks, self.cone.starts):
             mat = blk.matrix
-            rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-            self.entries.append((rows, mat.indices, mat.data))
-        self.cone_dim = sum(self.sides)
+            rows.append(start + np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)))
+            cols.append(mat.indices)
+            data.append(mat.data)
+        self.rows, self.cols, self.data = map(np.concatenate, (rows, cols, data))
+        ends = np.cumsum([0] + [len(d) for d in data])
+        self.entry_spans = [slice(a, e) for a, e in zip(ends[:-1], ends[1:])]
         self.normb = 1.0 + np.max(np.abs(self.b))
         self.normc = 1.0 + (np.max(np.abs(self.c)) if self.c.size else 0.0)
         scale = max(np.max(np.abs(self.G)) if self.G.size else 0.0,
@@ -252,15 +316,16 @@ class _Workspace:
         self.opscale = max(1.0, scale)
 
     def apply(self, v):
-        """block_j(v) for each block."""
-        return [np.bincount(rows, weights=data * v[cols], minlength=q * q).reshape(q, q)
-                for (rows, cols, data), q in zip(self.entries, self.sides)]
+        """block_j(v) for each block, as one flat cone vector."""
+        return np.bincount(self.rows, weights=self.data * v[self.cols],
+                           minlength=self.cone.size)
 
-    def adjoint(self, Xs):
-        """sum_j adj_j(X_j), mapping block matrices back to y-space."""
+    def adjoint(self, x):
+        """sum_j adj_j(X_j) of the flat cone vector x, summed in block order."""
+        w = self.data * x[self.rows]
         out = np.zeros(self.N)
-        for (rows, cols, data), X in zip(self.entries, Xs):
-            out += np.bincount(cols, weights=data * X.ravel()[rows], minlength=self.N)
+        for s in self.entry_spans:
+            out += np.bincount(self.cols[s], weights=w[s], minlength=self.N)
         return out
 
 
@@ -274,10 +339,11 @@ def solve(problem, options=None):
     """
     opts = options or SolverOptions()
     ws = _Workspace(problem)
+    cone = ws.cone
 
     if problem.farkas_mu is not None:
         cert = {"mu": problem.farkas_mu.copy(),
-                "blocks": [np.zeros((q, q)) for q in ws.sides]}
+                "blocks": [np.zeros((q, q)) for q in cone.sides]}
         return ConicSolution(status=SolveStatus.PRIMAL_INFEASIBLE, certificate=cert,
                              metrics={"iterations": 0, "reason": "inconsistent-equalities"})
 
@@ -297,39 +363,43 @@ def solve(problem, options=None):
     m = N - ph
     pinv_t = scipy.linalg.solve_triangular(R_h[:ph], Q[:, :ph].T)   # (G_h^+)^T
     GsB = G_s @ B
+    Btc = B.T @ ws.c
     y0 = pinv_t.T @ ws.b[hard]                                      # G_h y0 = b_h
     b_s = ws.b[soft]
     b_dmu_s = b_s - G_s @ y0     # b.dmu = y0.(q1 + Phi dy) + b_dmu_s.dmu_s
     mats0 = ws.apply(y0)
     # contiguous, so that the batched products below run as BLAS calls
     reduced_ops = [np.ascontiguousarray((blk.matrix @ B).T).reshape(m, q, q)
-                   for blk, q in zip(ws.blocks, ws.sides)]
+                   for blk, q in zip(ws.blocks, cone.sides)]
     # the scaled operators serve only the Schur matrix, so one buffer sized
     # for the largest block holds those of each block in turn
-    scaled_buf = np.empty(m * max((q * q for q in ws.sides), default=0))
+    scaled_buf = np.empty(m * max((q * q for q in cone.sides), default=0))
     y = np.zeros(N)
     mu = np.zeros(p)
-    S = [np.eye(q) for q in ws.sides]
-    Z = [np.eye(q) for q in ws.sides]
+    S = cone.eye.copy()
+    Z = cone.eye.copy()
+    S_blocks, Z_blocks = cone.views(S), cone.views(Z)
+    # every congruence writes its blocks into one of two buffers, whose
+    # views, like those of S and Z, are made once per solve
+    cong = [np.empty(cone.size) for _ in range(2)]
+    cong_blocks = [cone.views(buf) for buf in cong]
     tau, kappa = 1.0, 1.0
-    nu_den = ws.cone_dim + 1.0
+    nu_den = cone.dim + 1.0
 
     best = None
     tiny_steps = 0
     steps = 0
     for it in range(opts.max_iter):
         rp = ws.G @ y - ws.b * tau
-        mats_y = ws.apply(y)
-        Rh = [My - Sj for My, Sj in zip(mats_y, S)]
+        Rh = ws.apply(y) - S
         rd = ws.G.T @ mu + ws.adjoint(Z) - ws.c * tau
         rg = ws.c @ y - ws.b @ mu + kappa
-        gap_cone = sum(np.sum(Sj * Zj) for Sj, Zj in zip(S, Z))
+        gap_cone = cone.block_sums(S * Z)
         nu = (gap_cone + tau * kappa) / nu_den
 
-        pres = np.max(np.abs(rp)) / tau / ws.normb
-        for Rhj, Sj in zip(Rh, S):
-            pres = max(pres, np.max(np.abs(Rhj)) / tau /
-                       (1.0 + np.max(np.abs(Sj)) / tau))
+        pres = max(np.max(np.abs(rp)) / tau / ws.normb,
+                   *(np.maximum.reduceat(np.abs(Rh), cone.starts) / tau /
+                     (1.0 + np.maximum.reduceat(np.abs(S), cone.starts) / tau)))
         dres = np.max(np.abs(rd)) / tau / ws.normc
         pobj = ws.c @ y / tau
         dobj = ws.b @ mu / tau
@@ -340,13 +410,13 @@ def solve(problem, options=None):
                    "tau": float(tau), "kappa": float(kappa)}
         merit = max(pres, dres, relgap)
         if best is None or merit < best[0]:
-            best = (merit, y / tau, mu / tau, [Zj / tau for Zj in Z], metrics)
+            best = (merit, y.copy(), mu.copy(), Z.copy(), tau, metrics)
 
         if pres <= EPS_FEAS and dres <= EPS_FEAS and relgap <= EPS_GAP:
             return ConicSolution(
                 status=SolveStatus.OPTIMAL, y=y / tau,
                 objective=float(ws.sign * pobj),
-                eq_duals=mu / tau, block_duals=[Zj / tau for Zj in Z],
+                eq_duals=mu / tau, block_duals=[Zj / tau for Zj in Z_blocks],
                 metrics=metrics)
 
         # residual blow-up past the best point means numerics are exhausted
@@ -354,24 +424,24 @@ def solve(problem, options=None):
             break
 
         # infeasibility rays become visible as tau collapses against kappa
+        collapsed = tau <= TAU_KAPPA_TOL * max(1.0, kappa)
         bmu = ws.b @ mu
-        cert_scale = np.linalg.norm(mu) + sum(np.linalg.norm(Zj) for Zj in Z)
-        if bmu > EPS_FEAS * cert_scale:
+        if collapsed and bmu > 0.0:
+            cert_scale = np.linalg.norm(mu) + sum(np.linalg.norm(Z[s]) for s in cone.spans)
             farkas = np.max(np.abs(rd + ws.c * tau))     # G^T mu + adj(Z)
-            if tau <= TAU_KAPPA_TOL * max(1.0, kappa) and \
+            if bmu > EPS_FEAS * cert_scale and \
                     farkas <= EPS_FEAS * ws.opscale * cert_scale:
                 scale = 1.0 / bmu
-                cert = {"mu": mu * scale, "blocks": [Zj * scale for Zj in Z]}
+                cert = {"mu": mu * scale, "blocks": [Zj * scale for Zj in Z_blocks]}
                 metrics["reason"] = "tau-kappa-collapse"
                 return ConicSolution(status=SolveStatus.PRIMAL_INFEASIBLE,
                                      certificate=cert, metrics=metrics)
         cy = ws.c @ y
-        if cy < -EPS_FEAS * max(1.0, np.linalg.norm(y)) and \
-                tau <= TAU_KAPPA_TOL * max(1.0, kappa):
+        if collapsed and cy < 0.0 and cy < -EPS_FEAS * max(1.0, np.linalg.norm(y)):
             ray = y / (-cy)
             ray_scale = max(1.0, np.max(np.abs(ray)))
             ray_eq = np.max(np.abs(ws.G @ ray))
-            ray_psd = min(scipy.linalg.eigvalsh(M)[0] for M in ws.apply(ray))
+            ray_psd = min(scipy.linalg.eigvalsh(M)[0] for M in cone.views(ws.apply(ray)))
             if ray_eq <= EPS_FEAS * ws.opscale * ray_scale and \
                     ray_psd >= -EPS_FEAS * ray_scale:
                 return ConicSolution(status=SolveStatus.DUAL_INFEASIBLE,
@@ -381,12 +451,19 @@ def solve(problem, options=None):
         #   K = [[B^T Phi B, -(G_s B)^T], [G_s B, 0]] + STATIC_REG I,
         # where Phi v = sum_j adj_j(W_j^-1 mat_j(v) W_j^-1), W_j^-1 = Rinv^T Rinv
         try:
-            scalings = [_nt_scaling(Sj, Zj) for Sj, Zj in zip(S, Z)]
+            scalings = [_nt_scaling(Sj, Zj) for Sj, Zj in zip(S_blocks, Z_blocks)]
         except np.linalg.LinAlgError:
             break
-        Wis = [Rinv.T @ Rinv for (R, Rinv, sig) in scalings]
+        Rs = [R for R, _Rinv, _sig in scalings]
+        Rinvs = [Rinv for _R, Rinv, _sig in scalings]
+        Rts = [R.T for R in Rs]
+        Rinvts = [Rinv.T for Rinv in Rinvs]
+        Wis = [Rinv.T @ Rinv for Rinv in Rinvs]
+        sig = np.concatenate([s for _R, _Rinv, s in scalings])
+        h = sig ** -0.5
+        hh = h[cone.row] * h[cone.col]
         K = np.zeros((m + p - ph, m + p - ph))
-        for (R, Rinv, sig), ops, q in zip(scalings, reduced_ops, ws.sides):
+        for Rinv, ops, q in zip(Rinvs, reduced_ops, cone.sides):
             # row l of V is vec(Rinv mat_j(B e_l) Rinv^T), so B^T Phi B = sum_j V V^T
             V = scaled_buf[:m * q * q].reshape(m, q, q)
             step = max(1, _BATCH // (q * q))
@@ -401,9 +478,16 @@ def solve(problem, options=None):
         if info != 0:        # an exactly zero pivot: treat as a failed factorization
             break
 
+        def congruence(lefts, x, rights, buf=0):
+            """L_j X_j R_j for every block X_j of the flat x, written into the
+            flat buffer cong[buf], which the next call on it overwrites."""
+            for L, X, Rt, out in zip(lefts, cone.views(x), rights, cong_blocks[buf]):
+                np.matmul(L @ X, Rt, out=out)
+            return cong[buf]
+
         def phi(mats):
             """Phi v = sum_j adj_j(W_j^-1 mat_j(v) W_j^-1), given mat_j(v)."""
-            return ws.adjoint([Wi @ M @ Wi for Wi, M in zip(Wis, mats)])
+            return ws.adjoint(congruence(Wis, mats, Wis))
 
         def as_part(y_p, mats_p, t1_s):
             """The particular step y_p as null_step takes it: with B^T Phi y_p
@@ -416,8 +500,9 @@ def solve(problem, options=None):
             y_p = pinv_t.T @ t1[hard]
             return as_part(y_p, ws.apply(y_p), t1[soft])
 
-        def null_step(q1, part):
-            """dy = y_p + B z, dmu_s and b.dmu from the reduced system.
+        def null_step(q1, Btq1, part):
+            """dy = y_p + B z, dmu_s and b.dmu from the reduced system, given
+            q1 and B^T q1.
 
             B^T (Phi dy - G_s^T dmu_s) = -B^T q1 and G_s dy = t1_s, each row
             regularized as in K; one refinement step takes out STATIC_REG.
@@ -425,7 +510,7 @@ def solve(problem, options=None):
             b_h.dmu_h = y0.(q1 + Phi dy - G_s^T dmu_s).
             """
             y_p, phi_p, y0_phi_p, t1_s = part
-            rhs = np.concatenate([-(B.T @ q1) - phi_p, t1_s - G_s @ y_p])
+            rhs = np.concatenate([-Btq1 - phi_p, t1_s - G_s @ y_p])
             u = lapack.dgetrs(lu, piv, rhs)[0]
             # needed: without it STATIC_REG biases each step (ex51 H's reduced and
             # full relaxations end 4.8e-7 apart, a reduced ex55 H one INACCURATE)
@@ -437,36 +522,31 @@ def solve(problem, options=None):
         # the tau direction: targets c and b in place of q1 and t1
         part0 = as_part(y0, mats0, b_s)
         phi0 = part0[1]
-        dy_t, dmu_s_t, b_dmu_t = null_step(ws.c, part0)
+        dy_t, dmu_s_t, b_dmu_t = null_step(ws.c, Btc, part0)
         denom = ws.c @ dy_t - b_dmu_t - kappa / tau
 
-        def directions(part, t2s, t3, t4, Es, t6, with_mu=True):
+        def directions(part, t2, t3, t4, E, t6, with_mu=True):
             """Solve the linearized step equations for general targets.
 
             G dy - b dtau = t1;  mat_j(dy) - dS_j = t2_j;
             G^T dmu + adj(dZ) - c dtau = t3;  c.dy - b.dmu + dkappa = t4;
             Rinv dS Rinv^T + R^T dZ R = E_j;  kappa dtau + tau dkappa = t6,
-            where ``part`` is :func:`particular` of t1.  Without ``with_mu``,
-            dmu is left as None.  Also returns the scaled directions
-            Ds = Rinv dS Rinv^T and Dz = R^T dZ R of each block.
+            where ``part`` is :func:`particular` of t1, and t2 and E are flat
+            cone vectors.  Without ``with_mu``, dmu is left as None.  Also
+            returns the scaled directions Ds = Rinv dS Rinv^T and
+            Dz = R^T dZ R of each block.
             """
-            Fs = [R @ E @ R.T + t2 for (R, Rinv, sig), E, t2 in zip(scalings, Es, t2s)]
-            q1 = t3 - phi(Fs)
-            dy_c, dmu_s_c, b_dmu_c = null_step(q1, part)
+            F = congruence(Rs, E, Rts) + t2
+            q1 = t3 - phi(F)
+            dy_c, dmu_s_c, b_dmu_c = null_step(q1, B.T @ q1, part)
             dtau = (t4 - ws.c @ dy_c + b_dmu_c - t6 / tau) / denom
             dy = dy_c + dtau * dy_t
             dkappa = (t6 - kappa * dtau) / tau
             mats_dy = ws.apply(dy)
-            dS, dZ, Ds, Dz = [], [], [], []
-            for (R, Rinv, sig), F, Mdy, t2, E in zip(scalings, Fs, mats_dy, t2s, Es):
-                Dzj = Rinv @ (F - Mdy) @ Rinv.T
-                Dzj = (Dzj + Dzj.T) / 2.0
-                Dz.append(Dzj)
-                Ds.append(E - Dzj)
-                dZj = Rinv.T @ Dzj @ Rinv
-                dZ.append((dZj + dZj.T) / 2.0)
-                dSj = Mdy - t2
-                dS.append((dSj + dSj.T) / 2.0)
+            Dz = cone.sym(congruence(Rinvs, F - mats_dy, Rinvts))
+            Ds = E - Dz
+            dZ = cone.sym(congruence(Rinvts, Dz, Rinvs))
+            dS = cone.sym(mats_dy - t2)
             dmu = None
             if with_mu:
                 dmu = np.empty(p)
@@ -475,63 +555,53 @@ def solve(problem, options=None):
                 dmu[hard] = pinv_t @ (t3 + dtau * ws.c - ws.adjoint(dZ) - G_s.T @ dmu[soft])
             return [dy, dmu, dS, dZ, dtau, dkappa, Ds, Dz]
 
-        def refine(dirs, t1, t2s, t3, t4, Es, t6):
+        def refine(dirs, t1, t2, t3, t4, E, t6):
             """One pass of iterative refinement on the full step equations."""
-            dy, dmu, dS, dZ, dtau, dkappa, Ds, Dz = dirs
+            dy, dmu, dS, dZ, dtau, dkappa = dirs[:6]
             e1 = t1 - (ws.G @ dy - ws.b * dtau)
-            mats_dy = ws.apply(dy)
-            e2s = [t2 - (Mdy - dSj) for t2, Mdy, dSj in zip(t2s, mats_dy, dS)]
+            e2 = t2 - (ws.apply(dy) - dS)
             e3 = t3 - (ws.G.T @ dmu + ws.adjoint(dZ) - ws.c * dtau)
             e4 = t4 - (ws.c @ dy - ws.b @ dmu + dkappa)
-            eEs = []
-            for (R, Rinv, sig), dSj, dZj, E in zip(scalings, dS, dZ, Es):
-                got = Rinv @ dSj @ Rinv.T + R.T @ dZj @ R
-                eEs.append(E - got)
+            eE = E - (congruence(Rinvs, dS, Rinvts, 0) + congruence(Rts, dZ, Rs, 1))
             e6 = t6 - (kappa * dtau + tau * dkappa)
-            corr = directions(particular(e1), e2s, e3, e4, eEs, e6)
-            return [
-                dy + corr[0], dmu + corr[1],
-                [a + b for a, b in zip(dS, corr[2])],
-                [a + b for a, b in zip(dZ, corr[3])],
-                dtau + corr[4], dkappa + corr[5],
-                [a + b for a, b in zip(Ds, corr[6])],
-                [a + b for a, b in zip(Dz, corr[7])],
-            ]
+            corr = directions(particular(e1), e2, e3, e4, eE, e6)
+            return [a + b for a, b in zip(dirs, corr)]
 
         def max_step(Ds, Dz, dtau, dkappa):
-            a = min((_scaled_step(sig, Dsj, Dzj) for (_R, _Ri, sig), Dsj, Dzj
-                     in zip(scalings, Ds, Dz)), default=np.inf)
+            a = _scaled_step(cone, hh, Ds, Dz)
             if dtau < 0.0:
                 a = min(a, tau / (-dtau))
             if dkappa < 0.0:
                 a = min(a, kappa / (-dkappa))
             return a
 
-        t1, t3, t4 = -rp, -rd, -rg
-        t2s = [-Rhj for Rhj in Rh]
+        t1, t2, t3, t4 = -rp, -Rh, -rd, -rg
 
         part = particular(t1)
 
         # predictor
-        E_aff = [np.diag(-sig) for (_R, _Ri, sig) in scalings]
-        aff = directions(part, t2s, t3, t4, E_aff, -tau * kappa, with_mu=False)
+        E_aff = np.zeros(cone.size)
+        E_aff[cone.diag] = -sig
+        aff = directions(part, t2, t3, t4, E_aff, -tau * kappa, with_mu=False)
         a_aff = min(1.0, max_step(aff[6], aff[7], aff[4], aff[5]))
-        gap_aff = sum(np.sum((Sj + a_aff * dSj) * (Zj + a_aff * dZj))
-                      for Sj, dSj, Zj, dZj in zip(S, aff[2], Z, aff[3]))
+        gap_aff = cone.block_sums((S + a_aff * aff[2]) * (Z + a_aff * aff[3]))
         gap_aff += (tau + a_aff * aff[4]) * (kappa + a_aff * aff[5])
         sigma = float(np.clip((max(gap_aff, 0.0) / (nu * nu_den)) ** 3, 1e-8, 0.999))
 
-        # corrector
-        Es = []
-        for (R, Rinv, sig), Dsj, Dzj in zip(scalings, aff[6], aff[7]):
-            D = sigma * nu * np.eye(len(sig)) - np.diag(sig ** 2) \
-                - (Dsj @ Dzj + Dzj @ Dsj) / 2.0
-            Es.append(2.0 * D / np.add.outer(sig, sig))
+        # corrector: E_j = 2 (sigma nu I - diag(sig)^2 - (Ds Dz + Dz Ds) / 2)
+        # divided cellwise by sig_i + sig_l
+        D = sigma * nu * cone.eye
+        D[cone.diag] -= sig ** 2
+        Ds_aff, Dz_aff = cone.views(aff[6]), cone.views(aff[7])
+        for Dsj, Dzj, P, Q in zip(Ds_aff, Dz_aff, *cong_blocks):
+            np.matmul(Dsj, Dzj, out=P)
+            np.matmul(Dzj, Dsj, out=Q)
+        E = 2.0 * (D - (cong[0] + cong[1]) / 2.0) / (sig[cone.row] + sig[cone.col])
         d_tk = sigma * nu - tau * kappa - aff[4] * aff[5]
-        dirs = directions(part, t2s, t3, t4, Es, d_tk)
+        dirs = directions(part, t2, t3, t4, E, d_tk)
         if merit < 1e-3 or nu < 1e-4:
             # cancellation in direction recovery only matters near the end
-            dirs = refine(dirs, t1, t2s, t3, t4, Es, d_tk)
+            dirs = refine(dirs, t1, t2, t3, t4, E, d_tk)
         dy, dmu, dS, dZ, dtau, dkappa, Ds, Dz = dirs
 
         alpha = STEP_FRAC * max_step(Ds, Dz, dtau, dkappa)
@@ -540,11 +610,10 @@ def solve(problem, options=None):
             break
         y += alpha * dy
         mu += alpha * dmu
-        for j in range(len(S)):
-            S[j] = S[j] + alpha * dS[j]
-            S[j] = (S[j] + S[j].T) / 2.0
-            Z[j] = Z[j] + alpha * dZ[j]
-            Z[j] = (Z[j] + Z[j].T) / 2.0
+        for X, dX in ((S, dS), (Z, dZ)):
+            X += alpha * dX
+            X += X[cone.T]
+            X /= 2.0
         tau += alpha * dtau
         kappa += alpha * dkappa
         steps += 1
@@ -556,12 +625,15 @@ def solve(problem, options=None):
     if best is None:
         return ConicSolution(status=SolveStatus.ITERATION_LIMIT,
                              metrics={"iterations": 0})
-    merit, yb, mub, Zb, metrics = best
+    merit, yb, mub, Zb, taub, metrics = best
     metrics = dict(metrics, iterations=steps, best_iteration=metrics["iterations"])
     status = SolveStatus.INACCURATE if merit <= INACCURATE_TOL \
         else SolveStatus.ITERATION_LIMIT
+    yb = yb / taub
     return ConicSolution(status=status, y=yb, objective=float(ws.sign * (ws.c @ yb)),
-                         eq_duals=mub, block_duals=Zb, metrics=metrics)
+                         eq_duals=mub / taub,
+                         block_duals=[Zj / taub for Zj in cone.views(Zb)],
+                         metrics=metrics)
 
 
 def _well_formed(ws, sol):
@@ -579,8 +651,9 @@ def _well_formed(ws, sol):
         mu, Zs = sol.eq_duals, sol.block_duals
     else:
         return False
+    sides = ws.cone.sides
     return shaped(mu, ws.p) and isinstance(Zs, (list, tuple)) and \
-        len(Zs) == len(ws.sides) and all(shaped(Z, q, q) for Z, q in zip(Zs, ws.sides))
+        len(Zs) == len(sides) and all(shaped(Z, q, q) for Z, q in zip(Zs, sides))
 
 
 def verify_solution(problem, sol):
@@ -608,52 +681,75 @@ def verify_solution(problem, sol):
     report = {"status": status.value if isinstance(status, SolveStatus) else "malformed",
               "checks": checks}
     if checks["well_formed"] and sol.status is SolveStatus.PRIMAL_INFEASIBLE:
-        _verify_ray(ws, sol.certificate["mu"], sol.certificate["blocks"], checks, report)
+        _verify_ray(ws, sol.certificate["mu"], ws.cone.flatten(sol.certificate["blocks"]),
+                    checks, report)
     elif checks["well_formed"]:
-        _verify_pair(ws, sol.y, sol.eq_duals, sol.block_duals, checks, report)
+        _verify_pair(ws, sol.y, sol.eq_duals, ws.cone.flatten(sol.block_duals),
+                     checks, report)
     report["ok"] = all(checks.values())
     return report
 
 
-def _slack(ws, r, Zs):
-    """Upper bound on y.r - sum_j <Z_j, block_j(y)> over every feasible y.
+def _slack(ws, mu, Z, c=0.0):
+    """Upper bound on y.r - sum_j <Z_j, block_j(y)> over every feasible y,
+    r = c - G^T mu - sum_j adj_j(Z_j), for the r that floating point computes.
 
-    Y (||r||_1 + sum_j lambda^-(Z_j) T_j), with Y = moment_bound +
-    MOMENT_MARGIN, lambda^- the negative part of the least eigenvalue of
-    Z_j's symmetric part (the part the pairing reads) and T_j the sum of
-    |coefficients| on block j's diagonal cells; infinite when the problem
-    has no moment bound (module docstring).
+    Returns the slack Y (||r||_1 + rho + sum_j lambda^-(Z_j) T_j) and its
+    part Y rho, with Y = moment_bound + MOMENT_MARGIN, lambda^- the
+    negative part of the least eigenvalue of Z_j's symmetric part (the part
+    the pairing reads) and T_j the sum of |coefficients| on block j's
+    diagonal cells; the slack is infinite when the problem has no moment
+    bound (module docstring).  rho bounds the rounding of r: a term that
+    passes k roundings is off by at most gamma_k = k u / (1 - k u) times its
+    magnitude, u the unit roundoff, and component i's terms pass 2 (c_i),
+    n_G + 2 (the products G_li mu_l) and n_A + 2 (the adjoint's products),
+    where n_G and n_A count the nonzero coefficients in column i of G and
+    of the blocks.  Z is a flat cone vector.
     """
     if ws.moment_bound is None:
-        return np.inf
-    total = np.sum(np.abs(r))
-    for (rows, _cols, data), q, Z in zip(ws.entries, ws.sides, Zs):
-        diagonal = np.sum(np.abs(data[rows % (q + 1) == 0]))
-        total += max(0.0, -scipy.linalg.eigvalsh((Z + Z.T) / 2.0)[0]) * diagonal
-    return float((ws.moment_bound + MOMENT_MARGIN) * total)
+        return np.inf, np.inf
+    cone = ws.cone
+    r = c - ws.G.T @ mu - ws.adjoint(Z)
+    u = np.finfo(float).eps / 2.0
+
+    def gamma(k):
+        return k * u / (1.0 - k * u)
+
+    rounding = gamma(2) * np.sum(np.abs(c)) + \
+        gamma(np.count_nonzero(ws.G, axis=0) + 2) @ (np.abs(ws.G).T @ np.abs(mu)) + \
+        gamma(np.bincount(ws.cols, minlength=ws.N) + 2) @ \
+        np.bincount(ws.cols, weights=np.abs(ws.data * Z[ws.rows]), minlength=ws.N)
+    on_diagonal = np.zeros(cone.size, dtype=bool)
+    on_diagonal[cone.diag] = True
+    on_diagonal = on_diagonal[ws.rows]
+    total = np.sum(np.abs(r)) + rounding
+    for s, Zj in zip(ws.entry_spans, cone.views(cone.sym(Z))):
+        diagonal = np.sum(np.abs(ws.data[s][on_diagonal[s]]))
+        total += max(0.0, -scipy.linalg.eigvalsh(Zj)[0]) * diagonal
+    Y = ws.moment_bound + MOMENT_MARGIN
+    return float(Y * total), float(Y * rounding)
 
 
-def _verify_pair(ws, y, mu, Zs, checks, report):
+def _verify_pair(ws, y, mu, Z, checks, report):
     """Feasibility of y, and the bound that (mu, Z_j) proves."""
     mats = ws.apply(y)
-    checks["finite"] = all(np.isfinite(a).all() for a in [y, *mats, mu, *Zs])
+    checks["finite"] = all(np.isfinite(a).all() for a in [y, mats, mu, Z])
     if not checks["finite"]:
         return
     eq_res = float(np.max(np.abs(ws.G @ y - ws.b))) if ws.p else 0.0
     checks["equalities"] = bool(eq_res <= VERIFY_FEAS * ws.normb)
     report["eq_residual"] = eq_res
-    min_eigs = [float(scipy.linalg.eigvalsh(M)[0]) for M in mats]
+    min_eigs = [float(scipy.linalg.eigvalsh(M)[0]) for M in ws.cone.views(mats)]
     report["block_min_eigs"] = min_eigs
     checks["psd"] = all(e >= -VERIFY_PSD for e in min_eigs)
-    bound = ws.b @ mu - _slack(ws, ws.c - ws.G.T @ mu - ws.adjoint(Zs), Zs)
-    report["bound"] = float(ws.sign * bound)
+    report["bound"] = float(ws.sign * (ws.b @ mu - _slack(ws, mu, Z, ws.c)[0]))
 
 
-def _verify_ray(ws, mu, Zs, checks, report):
+def _verify_ray(ws, mu, Z, checks, report):
     """Whether the dual ray (mu, Z_j) proves the relaxation infeasible."""
-    checks["finite"] = all(np.isfinite(a).all() for a in [mu, *Zs])
+    checks["finite"] = all(np.isfinite(a).all() for a in [mu, Z])
     if not checks["finite"]:
         return
     report["farkas_bmu"] = float(ws.b @ mu)
-    report["slack"] = _slack(ws, ws.G.T @ mu + ws.adjoint(Zs), Zs)
+    report["slack"], report["rounding"] = _slack(ws, mu, Z)
     checks["proven"] = report["farkas_bmu"] > report["slack"]

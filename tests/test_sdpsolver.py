@@ -15,9 +15,9 @@ from tensorspectra.momentsdp import (ConicProblem, LocalizingStructure,
                                      moment_vector_of_point)
 from tensorspectra.oracle import brute_z_n2
 from tensorspectra.poly import Polynomial
-from tensorspectra.sdpsolver import (SolveStatus, SolverOptions, _nt_scaling,
-                                     _scaled_step, _Workspace, solve,
-                                     verify_solution)
+from tensorspectra.sdpsolver import (SolveStatus, SolverOptions, _Cone,
+                                     _nt_scaling, _scaled_step, _Workspace,
+                                     solve, verify_solution)
 from tensorspectra.tensor import Tensor
 
 
@@ -105,6 +105,23 @@ def test_high_order_rays_are_proven_and_scaled_ones_are_not(k):
     report = verify_solution(prob, scaled)
     assert report["checks"]["finite"] and not report["checks"]["proven"]
     assert not report["ok"]
+
+
+def test_a_ray_within_the_rounding_of_r_proves_nothing():
+    # the honest ex56 Z ray at k = 5 against the right-hand side scaled by
+    # beta, so that b.mu = beta lies above the slack without its rounding
+    # term and below the slack with it.  The scaled relaxation is still
+    # infeasible and its moments still within 1, but this ray no longer
+    # proves it
+    prob = _ex56_z_above_the_top(5)
+    sol = solve(prob)
+    report = verify_solution(prob, sol)
+    assert report["ok"] and 0.0 < report["rounding"] < report["slack"]
+    beta = report["slack"] - report["rounding"] / 2.0
+    scaled = verify_solution(replace(prob, eq_rhs=beta * prob.eq_rhs), sol)
+    assert scaled["slack"] == report["slack"]
+    assert scaled["slack"] - scaled["rounding"] < scaled["farkas_bmu"] < scaled["slack"]
+    assert not scaled["checks"]["proven"] and not scaled["ok"]
 
 
 def test_an_indefinite_ray_block_proves_nothing():
@@ -284,19 +301,33 @@ def _cholesky_step(M, dM):
     return np.inf if lam >= 0.0 else 1.0 / (-lam)
 
 
+def _scaling_hh(cone, sig):
+    # sig_i^-1/2 sig_l^-1/2 at cell (i, l) of each block, as solve forms it
+    h = sig ** -0.5
+    return h[cone.row] * h[cone.col]
+
+
 @pytest.mark.parametrize("q", [1, 3, 8])
 def test_scaled_step_matches_cholesky_reference(q):
+    # a block of side q and one of side 2 in one flat cone vector: the step
+    # is the least over both blocks of the Cholesky reference's
     rng = np.random.default_rng(q)
+    cone = _Cone([q, 2])
     for _ in range(20):
-        A, C = rng.standard_normal((2, q, q))
-        S = A @ A.T + 0.1 * np.eye(q)
-        Z = C @ C.T + 0.1 * np.eye(q)
-        dS, dZ = rng.standard_normal((2, q, q))
-        dS, dZ = dS + dS.T, dZ + dZ.T
-        R, Rinv, sig = _nt_scaling(S, Z)
-        Ds, Dz = Rinv @ dS @ Rinv.T, R.T @ dZ @ R
-        got = _scaled_step(sig, (Ds + Ds.T) / 2.0, (Dz + Dz.T) / 2.0)
-        want = min(_cholesky_step(S, dS), _cholesky_step(Z, dZ))
+        sigs, Ds, Dz, want = [], [], [], np.inf
+        for side in cone.sides:
+            A, C = rng.standard_normal((2, side, side))
+            S = A @ A.T + 0.1 * np.eye(side)
+            Z = C @ C.T + 0.1 * np.eye(side)
+            dS, dZ = rng.standard_normal((2, side, side))
+            dS, dZ = dS + dS.T, dZ + dZ.T
+            R, Rinv, sig = _nt_scaling(S, Z)
+            sigs.append(sig)
+            Ds.append(Rinv @ dS @ Rinv.T)
+            Dz.append(R.T @ dZ @ R)
+            want = min(want, _cholesky_step(S, dS), _cholesky_step(Z, dZ))
+        hh = _scaling_hh(cone, np.concatenate(sigs))
+        got = _scaled_step(cone, hh, cone.sym(cone.flatten(Ds)), cone.sym(cone.flatten(Dz)))
         assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -311,9 +342,27 @@ def _nan_at(D, i):
                          ids=["finite-eigenvalues", "lapack-error", "all-nan"])
 def test_non_finite_direction_gets_no_step(Ds):
     # LAPACK may return finite eigenvalues for a NaN matrix, or fail on it;
-    # either way the solve must not move along that direction
-    assert _scaled_step(np.ones(3), Ds, np.eye(3)) == 0.0
-    assert _scaled_step(np.ones(3), np.eye(3), Ds) == 0.0
+    # either way the solve must not move along that direction, whichever
+    # block holds it
+    cone = _Cone([2, 3])
+    hh = _scaling_hh(cone, np.ones(cone.dim))
+    bad = cone.flatten([np.eye(2), Ds])
+    good = cone.flatten([np.eye(2), np.eye(3)])
+    assert _scaled_step(cone, hh, bad, good) == 0.0
+    assert _scaled_step(cone, hh, good, bad) == 0.0
+
+
+def test_flat_symmetric_part_matches_blocks():
+    # (x + x[T]) / 2 on the flat vector is (X_j + X_j^T) / 2 on every block,
+    # bit for bit, and T is its own inverse
+    cone = _Cone([1, 3, 8, 2])
+    rng = np.random.default_rng(9)
+    Xs = [rng.standard_normal((q, q)) for q in cone.sides]
+    x = cone.flatten(Xs)
+    for got, X in zip(cone.views(cone.sym(x)), Xs):
+        assert np.array_equal(got, (X + X.T) / 2.0)
+    assert np.array_equal(cone.T[cone.T], np.arange(cone.size))
+    assert np.array_equal(x[cone.diag], np.concatenate([np.diag(X) for X in Xs]))
 
 
 def _parity_problems():
@@ -329,15 +378,16 @@ def _parity_problems():
 @pytest.mark.parametrize("prob", list(_parity_problems()), ids=["ex56-H", "ex53-Z"])
 def test_workspace_operators_match_block_matrices(prob):
     ws = _Workspace(prob)
+    cone = ws.cone
     rng = np.random.default_rng(5)
     for _ in range(5):
         v = rng.standard_normal(prob.num_vars)
         Xs = [rng.standard_normal((blk.side, blk.side)) for blk in prob.blocks]
-        got = ws.apply(v)
+        got = cone.views(ws.apply(v))
         for blk, M in zip(prob.blocks, got):
             want = (blk.matrix @ v).reshape(blk.side, blk.side)
             assert np.max(np.abs(M - want)) <= 1e-13 * np.max(np.abs(want))
-        adj = ws.adjoint(Xs)
+        adj = ws.adjoint(cone.flatten(Xs))
         want = sum(blk.matrix.T @ X.ravel() for blk, X in zip(prob.blocks, Xs))
         assert np.max(np.abs(adj - want)) <= 1e-13 * np.max(np.abs(want))
         lhs = sum(np.sum(M * X) for M, X in zip(got, Xs))
@@ -345,9 +395,33 @@ def test_workspace_operators_match_block_matrices(prob):
         # each block's adjoint reads only the symmetric part of its matrix
         for j, X in enumerate(Xs):
             one = [X if i == j else np.zeros_like(Y) for i, Y in enumerate(Xs)]
-            a, b = ws.adjoint(one), ws.adjoint([Y.T for Y in one])
+            a = ws.adjoint(cone.flatten(one))
+            b = ws.adjoint(cone.flatten([Y.T for Y in one]))
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
-    assert [blk.side for blk in prob.blocks] in ([22, 34, 20], [35, 10, 10])
+    assert cone.sides in ([22, 34, 20], [35, 10, 10])
+
+
+def test_returned_blocks_own_their_memory():
+    # block duals and certificate blocks are per-block arrays of their own:
+    # changing one changes no other array of any result, and a later solve
+    # leaves an earlier result as it was
+    pair_prob, ray_prob = _toy_min(), _ex56_z_above_the_top(4)
+    pair, ray = solve(pair_prob), solve(ray_prob)
+    assert ray.status is SolveStatus.PRIMAL_INFEASIBLE
+    results = [pair.block_duals, ray.certificate["blocks"]]
+    saved = [[Z.copy() for Z in blocks] for blocks in results]
+    for blocks in results:
+        assert all(Z.flags.owndata and Z.flags.c_contiguous for Z in blocks)
+    solve(pair_prob)
+    solve(ray_prob)
+    for blocks, copies in zip(results, saved):
+        assert all(np.array_equal(Z, C) for Z, C in zip(blocks, copies))
+    for blocks in results:
+        for Z in blocks:
+            Z += 1.0
+    assert all(np.array_equal(Z, C + 1.0) for blocks, copies in zip(results, saved)
+               for Z, C in zip(blocks, copies))
+    assert np.array_equal(pair.y, solve(pair_prob).y)
 
 
 @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
