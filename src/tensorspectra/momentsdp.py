@@ -182,6 +182,8 @@ class ConicProblem:
     left out.  ``moment_bound`` is an a priori bound on |y_alpha| over
     every feasible y, or None when none is known: 1.0 for a relaxation
     with the equality sum_i x_i^d - 1, d even (see :mod:`sdpsolver`).
+    ``workspace`` holds the solver's read-only copy of this data, made from
+    it on first use by ``sdpsolver.solve`` or ``sdpsolver.verify_solution``.
     """
 
     n: int
@@ -194,6 +196,7 @@ class ConicProblem:
     farkas_mu: np.ndarray | None = None
     support: np.ndarray | None = None
     moment_bound: float | None = None
+    workspace: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.support is None:

@@ -47,6 +47,22 @@ scaling of the projected operators and the Schur products cost in
 proportion to the sum of the squared block sides: 50² + 34² = 3656 for
 the parts of ex56 H's moment block at k = 6, against 84² = 7056 whole.
 
+Every right-hand factor of the products in the Schur assembly and the
+congruences is passed in NN layout, C-contiguous: R_j^T and Rinv_j^T are
+made contiguous once per iteration.  numpy hands a transposed right
+operand to BLAS's NT kernel, which runs at about half the NN speed at
+these sides.  The two Gram products, W_j^-1 = Rinv_j^T Rinv_j and
+V_j V_j^T in the Schur assembly, keep the form X.T @ X on one buffer,
+which numpy runs as syrk, exactly symmetric.  The Schur assembly
+(:func:`_schur`) is most of the cost of the largest relaxations.  Per
+iteration and block it takes 2 m q_j^3 multiply-adds for the scaled
+operators Rinv_j mat_j(B e_l) Rinv_j^T and m^2 q_j^2 / 2 for the syrk.
+On the order-5 shifted relaxations of ex55 H and ex56 H (m = 130, sides
+22, 34 and 20), one assembly takes about 1.1 ms on one core of a 2-core
+x86-64 machine (OpenBLAS, one thread): 0.21 ms for the left products,
+0.21 ms for the right ones (0.41 ms with Rinv_j^T a transposed view) and
+0.59 ms for the syrks.
+
 The relaxations are small (a few dozen moments on n = 2 tensors), so the
 iteration is bound by per-call overhead rather than arithmetic.  All PSD
 blocks of a relaxation are one flat vector, each block's matrix row-major
@@ -58,8 +74,9 @@ updates of S and Z.  The blocks are applied as one ``np.bincount`` over
 their concatenated stored (row, column, value) entries, which sums in the
 order of the sparse matrix products; the adjoint takes one bincount per
 block and adds them in block order.  Only linear algebra stays per block:
-the NT factors, the congruences, written into block views of buffers made
-once per solve, the Schur assembly and the step lengths' eigenvalues.
+the NT factors, the congruences, the Schur assembly and the step lengths'
+eigenvalues.  The congruences read their inputs from, and write their
+results into, flat buffers whose block views are made once per solve.
 Per-block maxima come from ``np.maximum.reduceat``, which is exact, and
 per-block sums from ``np.sum`` over each block's span, so every iterate is
 bit for bit that of a loop over separate block matrices.  The NT factors
@@ -211,6 +228,28 @@ def _nt_scaling(S, Z):
     return R, Rinv, sig
 
 
+def _schur(ops, Rinvs, Rinvts, buf):
+    """The Schur matrix B^T Phi B = sum_j V_j V_j^T, where row l of V_j is
+    vec(Rinv_j mat_j(B e_l) Rinv_j^T).
+
+    ``ops[j]`` holds mat_j(B e_l) for every l as a contiguous (m, q_j, q_j)
+    array and ``Rinvts[j]`` is Rinv_j^T made contiguous, so both products
+    of the batch run in NN layout.  ``buf`` holds m q_j^2 entries for any
+    block.  numpy runs each V_j @ V_j.T, one buffer on both sides, as syrk.
+    """
+    m = ops[0].shape[0]
+    K = np.zeros((m, m))
+    for op, Rinv, Rinvt in zip(ops, Rinvs, Rinvts):
+        q = Rinv.shape[0]
+        V = buf[:m * q * q].reshape(m, q, q)
+        step = max(1, _BATCH // (q * q))
+        for lo in range(0, m, step):
+            np.matmul(Rinv @ op[lo:lo + step], Rinvt, out=V[lo:lo + step])
+        V = V.reshape(m, q * q)
+        K += V @ V.T
+    return K
+
+
 def _scaled_step(cone, hh, Ds, Dz):
     """Largest a with S + a dS and Z + a dZ both still PSD, in every block.
 
@@ -264,6 +303,7 @@ class _Cone:
         self.T, self.diag, self.row, self.col = map(np.concatenate, (T, diag, row, col))
         self.eye = np.zeros(self.size)
         self.eye[self.diag] = 1.0
+        _read_only(self.starts, self.T, self.diag, self.row, self.col, self.eye)
 
     def views(self, x):
         """Block j of the flat x as a q_j x q_j view."""
@@ -273,9 +313,11 @@ class _Cone:
         """The flat vector of block matrices, one per block."""
         return np.concatenate([np.ravel(M) for M in mats])
 
-    def sym(self, x):
+    def sym(self, x, out=None):
         """The symmetric part (X_j + X_j^T) / 2 of every block."""
-        return (x + x[self.T]) / 2.0
+        out = np.add(x, x[self.T], out=out)
+        out /= 2.0
+        return out
 
     def block_sums(self, x):
         """The sum of x over every block, each block summed on its own and
@@ -283,13 +325,31 @@ class _Cone:
         return sum(np.sum(x[s]) for s in self.spans)
 
 
+class _Flat:
+    """A flat cone vector with its block views, made once."""
+
+    def __init__(self, cone):
+        self.x = np.empty(cone.size)
+        self.blocks = cone.views(self.x)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
 class _Workspace:
-    """Problem data unpacked for the interior-point iteration."""
+    """Problem data unpacked for the interior-point iteration and the check.
+
+    Its arrays are read-only copies: once it is made, neither the solver
+    nor a change to the problem's own arrays alters what
+    :func:`verify_solution` reads.
+    """
 
     def __init__(self, problem):
-        self.G = np.asarray(problem.eq_rows, dtype=float)
-        self.b = np.asarray(problem.eq_rhs, dtype=float)
-        self.c = np.asarray(problem.c, dtype=float)
+        self.G = np.array(problem.eq_rows, dtype=float)
+        self.b = np.array(problem.eq_rhs, dtype=float)
+        self.c = np.array(problem.c, dtype=float)
         self.sign = -1.0 if problem.maximize else 1.0
         self.moment_bound = problem.moment_bound
         self.p, self.N = self.G.shape
@@ -314,6 +374,7 @@ class _Workspace:
                     max((np.abs(blk.matrix.data).max() if blk.matrix.nnz else 0.0)
                         for blk in problem.blocks))
         self.opscale = max(1.0, scale)
+        _read_only(self.G, self.b, self.c, self.rows, self.cols, self.data)
 
     def apply(self, v):
         """block_j(v) for each block, as one flat cone vector."""
@@ -329,6 +390,13 @@ class _Workspace:
         return out
 
 
+def _workspace(problem):
+    """The problem's :class:`_Workspace`, made on first use and kept on it."""
+    if problem.workspace is None:
+        problem.workspace = _Workspace(problem)
+    return problem.workspace
+
+
 def solve(problem, options=None):
     """Solve a conic problem, returning a :class:`ConicSolution`.
 
@@ -338,7 +406,7 @@ def solve(problem, options=None):
     :func:`verify_solution`.
     """
     opts = options or SolverOptions()
-    ws = _Workspace(problem)
+    ws = _workspace(problem)
     cone = ws.cone
 
     if problem.farkas_mu is not None:
@@ -367,7 +435,6 @@ def solve(problem, options=None):
     y0 = pinv_t.T @ ws.b[hard]                                      # G_h y0 = b_h
     b_s = ws.b[soft]
     b_dmu_s = b_s - G_s @ y0     # b.dmu = y0.(q1 + Phi dy) + b_dmu_s.dmu_s
-    mats0 = ws.apply(y0)
     # contiguous, so that the batched products below run as BLAS calls
     reduced_ops = [np.ascontiguousarray((blk.matrix @ B).T).reshape(m, q, q)
                    for blk, q in zip(ws.blocks, cone.sides)]
@@ -379,10 +446,14 @@ def solve(problem, options=None):
     S = cone.eye.copy()
     Z = cone.eye.copy()
     S_blocks, Z_blocks = cone.views(S), cone.views(Z)
-    # every congruence writes its blocks into one of two buffers, whose
-    # views, like those of S and Z, are made once per solve
-    cong = [np.empty(cone.size) for _ in range(2)]
-    cong_blocks = [cone.views(buf) for buf in cong]
+    # Every congruence reads its blocks from, and writes them into, flat
+    # buffers whose views are made once per solve: two for its results, E
+    # and F for the step equations, P for a particular step's blocks, and
+    # Ds, Dz, dS and dZ for each of the two directions alive at once.
+    cong = [_Flat(cone) for _ in range(2)]
+    E, F, P, mats0 = (_Flat(cone) for _ in range(4))
+    mats0.x[:] = ws.apply(y0)
+    slots = [[_Flat(cone) for _ in range(4)] for _ in range(2)]
     tau, kappa = 1.0, 1.0
     nu_den = cone.dim + 1.0
 
@@ -456,21 +527,16 @@ def solve(problem, options=None):
             break
         Rs = [R for R, _Rinv, _sig in scalings]
         Rinvs = [Rinv for _R, Rinv, _sig in scalings]
-        Rts = [R.T for R in Rs]
-        Rinvts = [Rinv.T for Rinv in Rinvs]
+        # right-hand factors in NN layout; numpy runs Rinv.T @ Rinv as syrk,
+        # so each W_j^-1 is exactly symmetric
+        Rts = [np.ascontiguousarray(R.T) for R in Rs]
+        Rinvts = [np.ascontiguousarray(Rinv.T) for Rinv in Rinvs]
         Wis = [Rinv.T @ Rinv for Rinv in Rinvs]
         sig = np.concatenate([s for _R, _Rinv, s in scalings])
         h = sig ** -0.5
         hh = h[cone.row] * h[cone.col]
         K = np.zeros((m + p - ph, m + p - ph))
-        for Rinv, ops, q in zip(Rinvs, reduced_ops, cone.sides):
-            # row l of V is vec(Rinv mat_j(B e_l) Rinv^T), so B^T Phi B = sum_j V V^T
-            V = scaled_buf[:m * q * q].reshape(m, q, q)
-            step = max(1, _BATCH // (q * q))
-            for lo in range(0, m, step):
-                np.matmul(Rinv @ ops[lo:lo + step], Rinv.T, out=V[lo:lo + step])
-            V = V.reshape(m, q * q)
-            K[:m, :m] += V @ V.T
+        K[:m, :m] = _schur(reduced_ops, Rinvs, Rinvts, scaled_buf)
         K[:m, m:] = -GsB.T
         K[m:, :m] = GsB
         K.flat[::K.shape[0] + 1] += STATIC_REG
@@ -478,27 +544,29 @@ def solve(problem, options=None):
         if info != 0:        # an exactly zero pivot: treat as a failed factorization
             break
 
-        def congruence(lefts, x, rights, buf=0):
-            """L_j X_j R_j for every block X_j of the flat x, written into the
-            flat buffer cong[buf], which the next call on it overwrites."""
-            for L, X, Rt, out in zip(lefts, cone.views(x), rights, cong_blocks[buf]):
-                np.matmul(L @ X, Rt, out=out)
-            return cong[buf]
+        def congruence(lefts, X, rights, out=cong[0]):
+            """L_j X_j R_j for every block X_j of the buffer X, written into
+            the buffer out, whose flat vector it returns."""
+            for L, Xj, Rt, Oj in zip(lefts, X.blocks, rights, out.blocks):
+                np.matmul(L @ Xj, Rt, out=Oj)
+            return out.x
 
-        def phi(mats):
-            """Phi v = sum_j adj_j(W_j^-1 mat_j(v) W_j^-1), given mat_j(v)."""
-            return ws.adjoint(congruence(Wis, mats, Wis))
+        def phi(X):
+            """Phi v = sum_j adj_j(W_j^-1 mat_j(v) W_j^-1), given mat_j(v) in
+            the buffer X."""
+            return ws.adjoint(congruence(Wis, X, Wis))
 
         def as_part(y_p, mats_p, t1_s):
             """The particular step y_p as null_step takes it: with B^T Phi y_p
-            and y0.Phi y_p, given its block matrices mats_p."""
+            and y0.Phi y_p, given its block matrices in the buffer mats_p."""
             phi_p = phi(mats_p)
             return y_p, B.T @ phi_p, y0 @ phi_p, t1_s
 
         def particular(t1):
             """The minimum-norm y_p with G_h y_p = t1_h, reduced, with t1_s."""
             y_p = pinv_t.T @ t1[hard]
-            return as_part(y_p, ws.apply(y_p), t1[soft])
+            P.x[:] = ws.apply(y_p)
+            return as_part(y_p, P, t1[soft])
 
         def null_step(q1, Btq1, part):
             """dy = y_p + B z, dmu_s and b.dmu from the reduced system, given
@@ -525,46 +593,52 @@ def solve(problem, options=None):
         dy_t, dmu_s_t, b_dmu_t = null_step(ws.c, Btc, part0)
         denom = ws.c @ dy_t - b_dmu_t - kappa / tau
 
-        def directions(part, t2, t3, t4, E, t6, with_mu=True):
+        def directions(part, t2, t3, t4, E, t6, out, with_mu=True):
             """Solve the linearized step equations for general targets.
 
             G dy - b dtau = t1;  mat_j(dy) - dS_j = t2_j;
             G^T dmu + adj(dZ) - c dtau = t3;  c.dy - b.dmu + dkappa = t4;
             Rinv dS Rinv^T + R^T dZ R = E_j;  kappa dtau + tau dkappa = t6,
-            where ``part`` is :func:`particular` of t1, and t2 and E are flat
-            cone vectors.  Without ``with_mu``, dmu is left as None.  Also
-            returns the scaled directions Ds = Rinv dS Rinv^T and
-            Dz = R^T dZ R of each block.
+            where ``part`` is :func:`particular` of t1, t2 is a flat cone
+            vector and E a buffer.  Without ``with_mu``, dmu is left as None.
+            Also returns the scaled directions Ds = Rinv dS Rinv^T and
+            Dz = R^T dZ R of each block.  Ds, Dz, dS and dZ are written into
+            the buffers ``out``.
             """
-            F = congruence(Rs, E, Rts) + t2
+            Ds, Dz, dS, dZ = out
+            np.add(congruence(Rs, E, Rts), t2, out=F.x)
             q1 = t3 - phi(F)
             dy_c, dmu_s_c, b_dmu_c = null_step(q1, B.T @ q1, part)
             dtau = (t4 - ws.c @ dy_c + b_dmu_c - t6 / tau) / denom
             dy = dy_c + dtau * dy_t
             dkappa = (t6 - kappa * dtau) / tau
             mats_dy = ws.apply(dy)
-            Dz = cone.sym(congruence(Rinvs, F - mats_dy, Rinvts))
-            Ds = E - Dz
-            dZ = cone.sym(congruence(Rinvts, Dz, Rinvs))
-            dS = cone.sym(mats_dy - t2)
+            np.subtract(F.x, mats_dy, out=F.x)
+            cone.sym(congruence(Rinvs, F, Rinvts), out=Dz.x)
+            np.subtract(E.x, Dz.x, out=Ds.x)
+            cone.sym(congruence(Rinvts, Dz, Rinvs), out=dZ.x)
+            cone.sym(mats_dy - t2, out=dS.x)
             dmu = None
             if with_mu:
                 dmu = np.empty(p)
                 dmu[soft] = dmu_s_c + dtau * dmu_s_t
                 # the dual equation; adj reads only dZ's symmetric part
-                dmu[hard] = pinv_t @ (t3 + dtau * ws.c - ws.adjoint(dZ) - G_s.T @ dmu[soft])
-            return [dy, dmu, dS, dZ, dtau, dkappa, Ds, Dz]
+                dmu[hard] = pinv_t @ (t3 + dtau * ws.c - ws.adjoint(dZ.x) - G_s.T @ dmu[soft])
+            return [dy, dmu, dS.x, dZ.x, dtau, dkappa, Ds.x, Dz.x]
 
         def refine(dirs, t1, t2, t3, t4, E, t6):
-            """One pass of iterative refinement on the full step equations."""
+            """One pass of iterative refinement on the full step equations,
+            for the corrector's directions, in slots[1].  The correction goes
+            to slots[0], the predictor's, and E is overwritten."""
             dy, dmu, dS, dZ, dtau, dkappa = dirs[:6]
             e1 = t1 - (ws.G @ dy - ws.b * dtau)
             e2 = t2 - (ws.apply(dy) - dS)
             e3 = t3 - (ws.G.T @ dmu + ws.adjoint(dZ) - ws.c * dtau)
             e4 = t4 - (ws.c @ dy - ws.b @ dmu + dkappa)
-            eE = E - (congruence(Rinvs, dS, Rinvts, 0) + congruence(Rts, dZ, Rs, 1))
+            np.subtract(E.x, congruence(Rinvs, slots[1][2], Rinvts, cong[0]) +
+                        congruence(Rts, slots[1][3], Rs, cong[1]), out=E.x)
             e6 = t6 - (kappa * dtau + tau * dkappa)
-            corr = directions(particular(e1), e2, e3, e4, eE, e6)
+            corr = directions(particular(e1), e2, e3, e4, E, e6, slots[0])
             return [a + b for a, b in zip(dirs, corr)]
 
         def max_step(Ds, Dz, dtau, dkappa):
@@ -580,9 +654,9 @@ def solve(problem, options=None):
         part = particular(t1)
 
         # predictor
-        E_aff = np.zeros(cone.size)
-        E_aff[cone.diag] = -sig
-        aff = directions(part, t2, t3, t4, E_aff, -tau * kappa, with_mu=False)
+        E.x.fill(0.0)
+        E.x[cone.diag] = -sig
+        aff = directions(part, t2, t3, t4, E, -tau * kappa, slots[0], with_mu=False)
         a_aff = min(1.0, max_step(aff[6], aff[7], aff[4], aff[5]))
         gap_aff = cone.block_sums((S + a_aff * aff[2]) * (Z + a_aff * aff[3]))
         gap_aff += (tau + a_aff * aff[4]) * (kappa + a_aff * aff[5])
@@ -592,13 +666,14 @@ def solve(problem, options=None):
         # divided cellwise by sig_i + sig_l
         D = sigma * nu * cone.eye
         D[cone.diag] -= sig ** 2
-        Ds_aff, Dz_aff = cone.views(aff[6]), cone.views(aff[7])
-        for Dsj, Dzj, P, Q in zip(Ds_aff, Dz_aff, *cong_blocks):
-            np.matmul(Dsj, Dzj, out=P)
-            np.matmul(Dzj, Dsj, out=Q)
-        E = 2.0 * (D - (cong[0] + cong[1]) / 2.0) / (sig[cone.row] + sig[cone.col])
+        Ds_aff, Dz_aff = slots[0][0].blocks, slots[0][1].blocks
+        for Dsj, Dzj, Pj, Qj in zip(Ds_aff, Dz_aff, cong[0].blocks, cong[1].blocks):
+            np.matmul(Dsj, Dzj, out=Pj)
+            np.matmul(Dzj, Dsj, out=Qj)
+        np.divide(2.0 * (D - (cong[0].x + cong[1].x) / 2.0), sig[cone.row] + sig[cone.col],
+                  out=E.x)
         d_tk = sigma * nu - tau * kappa - aff[4] * aff[5]
-        dirs = directions(part, t2, t3, t4, E, d_tk)
+        dirs = directions(part, t2, t3, t4, E, d_tk, slots[1])
         if merit < 1e-3 or nu < 1e-4:
             # cancellation in direction recovery only matters near the end
             dirs = refine(dirs, t1, t2, t3, t4, E, d_tk)
@@ -675,7 +750,7 @@ def verify_solution(problem, sol):
     not finite fails ``finite``.  Either failure ends the check.
     ``status`` is the status value, or "malformed" when there is none.
     """
-    ws = _Workspace(problem)
+    ws = _workspace(problem)
     checks = {"well_formed": _well_formed(ws, sol)}
     status = getattr(sol, "status", None)
     report = {"status": status.value if isinstance(status, SolveStatus) else "malformed",

@@ -16,7 +16,7 @@ from tensorspectra.momentsdp import (ConicProblem, LocalizingStructure,
 from tensorspectra.oracle import brute_z_n2
 from tensorspectra.poly import Polynomial
 from tensorspectra.sdpsolver import (SolveStatus, SolverOptions, _Cone,
-                                     _nt_scaling, _scaled_step, _Workspace,
+                                     _nt_scaling, _scaled_step, _schur, _Workspace,
                                      solve, verify_solution)
 from tensorspectra.tensor import Tensor
 
@@ -399,6 +399,58 @@ def test_workspace_operators_match_block_matrices(prob):
             b = ws.adjoint(cone.flatten([Y.T for Y in one]))
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
     assert cone.sides in ([22, 34, 20], [35, 10, 10])
+
+
+def test_one_read_only_workspace_per_problem():
+    # solve makes the workspace and verify_solution reads the same one; its
+    # arrays are read-only copies, so a later change to the problem's own
+    # arrays does not reach the check, and a replaced problem starts afresh
+    prob = _toy_min()
+    assert prob.workspace is None
+    sol = solve(prob)
+    ws = prob.workspace
+    report = verify_solution(prob, sol)
+    assert prob.workspace is ws and report["ok"]
+    for a in (ws.G, ws.b, ws.c, ws.rows, ws.cols, ws.data, ws.cone.T, ws.cone.eye):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    prob.eq_rhs[0] = 2.0
+    assert verify_solution(prob, sol) == report
+    assert replace(prob).workspace is None
+    assert not verify_solution(replace(prob), sol)["ok"]
+
+
+@pytest.mark.parametrize("batch", [None, 500], ids=["one-batch", "small-batches"])
+def test_schur_matches_dense_reference(batch, monkeypatch):
+    # B^T sum_j A_j^T (W_j^-1 kron W_j^-1) A_j B, with A_j block j's operator
+    # and W_j^-1 = Rinv_j^T Rinv_j the NT scaling of random positive definite
+    # (S_j, Z_j), for a random orthonormal B, on a random m = 4, n = 3 H
+    # relaxation: the parity parts, of sides 22 and 13, of its moment block,
+    # and its localizing block of side 10.  500 entries per batch split
+    # every block's scaled operators into batches.
+    if batch is not None:
+        monkeypatch.setattr("tensorspectra.sdpsolver._BATCH", batch)
+    A = Tensor(np.random.default_rng((4, 3, 5)).standard_normal((3, 3, 3, 3)))
+    f, hs, _m0 = h_system(A)
+    prob = build_min_relaxation(f, hs, [f - 1.0], 4)
+    assert [(blk.side, blk.rows is not None) for blk in prob.blocks] == \
+        [(22, True), (13, True), (10, False)]
+    rng = np.random.default_rng(11)
+    m = 60
+    B = np.linalg.qr(rng.standard_normal((prob.num_vars, m)))[0]
+    ops, Rinvs, want = [], [], np.zeros((m, m))
+    for blk in prob.blocks:
+        q = blk.side
+        X, Y = rng.standard_normal((2, q, q))
+        _R, Rinv, _sig = _nt_scaling(X @ X.T + 0.1 * np.eye(q), Y @ Y.T + 0.1 * np.eye(q))
+        ops.append(np.ascontiguousarray((blk.matrix @ B).T).reshape(m, q, q))
+        Rinvs.append(Rinv)
+        Wi = Rinv.T @ Rinv
+        AB = blk.matrix.toarray() @ B
+        want += AB.T @ np.kron(Wi, Wi) @ AB
+    buf = np.empty(m * 22 * 22)
+    got = _schur(ops, Rinvs, [np.ascontiguousarray(Rinv.T) for Rinv in Rinvs], buf)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_returned_blocks_own_their_memory():
