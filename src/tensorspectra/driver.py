@@ -358,6 +358,9 @@ class _Driver:
         kmax = sys_.k0 + opts.kmax_offset
         for k in range(min(self._warm.get(family, sys_.k0), kmax), kmax + 1):
             prob = build(sys_.f, sys_.h, ineqs, k, store=self._relaxations)
+            # the check's read-only copy of the problem, made before the
+            # solver hook can write into the problem's arrays
+            sdpsolver._workspace(prob)
             sol = opts.solve(prob)
             iterations = _iterations(sol)
             self.sdp_solves += 1

@@ -228,9 +228,9 @@ def _nt_scaling(S, Z):
     return R, Rinv, sig
 
 
-def _schur(ops, Rinvs, Rinvts, buf):
-    """The Schur matrix B^T Phi B = sum_j V_j V_j^T, where row l of V_j is
-    vec(Rinv_j mat_j(B e_l) Rinv_j^T).
+def _schur(ops, Rinvs, Rinvts, buf, out):
+    """Add the Schur matrix B^T Phi B = sum_j V_j V_j^T into ``out``, where
+    row l of V_j is vec(Rinv_j mat_j(B e_l) Rinv_j^T).
 
     ``ops[j]`` holds mat_j(B e_l) for every l as a contiguous (m, q_j, q_j)
     array and ``Rinvts[j]`` is Rinv_j^T made contiguous, so both products
@@ -238,7 +238,6 @@ def _schur(ops, Rinvs, Rinvts, buf):
     block.  numpy runs each V_j @ V_j.T, one buffer on both sides, as syrk.
     """
     m = ops[0].shape[0]
-    K = np.zeros((m, m))
     for op, Rinv, Rinvt in zip(ops, Rinvs, Rinvts):
         q = Rinv.shape[0]
         V = buf[:m * q * q].reshape(m, q, q)
@@ -246,8 +245,7 @@ def _schur(ops, Rinvs, Rinvts, buf):
         for lo in range(0, m, step):
             np.matmul(Rinv @ op[lo:lo + step], Rinvt, out=V[lo:lo + step])
         V = V.reshape(m, q * q)
-        K += V @ V.T
-    return K
+        out += V @ V.T
 
 
 def _scaled_step(cone, hh, Ds, Dz):
@@ -341,9 +339,11 @@ def _read_only(*arrays):
 class _Workspace:
     """Problem data unpacked for the interior-point iteration and the check.
 
-    Its arrays are read-only copies: once it is made, neither the solver
-    nor a change to the problem's own arrays alters what
-    :func:`verify_solution` reads.
+    Its arrays are read-only copies, a snapshot of the problem at first
+    use: once it is made, neither the solver nor a write into the problem's
+    own arrays alters what :func:`verify_solution` reads.  The sweep driver
+    makes it before it calls its solver hook.  A problem whose data should
+    change is a new problem (``dataclasses.replace``), with no workspace.
     """
 
     def __init__(self, problem):
@@ -536,7 +536,7 @@ def solve(problem, options=None):
         h = sig ** -0.5
         hh = h[cone.row] * h[cone.col]
         K = np.zeros((m + p - ph, m + p - ph))
-        K[:m, :m] = _schur(reduced_ops, Rinvs, Rinvts, scaled_buf)
+        _schur(reduced_ops, Rinvs, Rinvts, scaled_buf, K[:m, :m])
         K[:m, m:] = -GsB.T
         K[m:, :m] = GsB
         K.flat[::K.shape[0] + 1] += STATIC_REG
@@ -626,19 +626,22 @@ def solve(problem, options=None):
                 dmu[hard] = pinv_t @ (t3 + dtau * ws.c - ws.adjoint(dZ.x) - G_s.T @ dmu[soft])
             return [dy, dmu, dS.x, dZ.x, dtau, dkappa, Ds.x, Dz.x]
 
-        def refine(dirs, t1, t2, t3, t4, E, t6):
-            """One pass of iterative refinement on the full step equations,
-            for the corrector's directions, in slots[1].  The correction goes
-            to slots[0], the predictor's, and E is overwritten."""
+        def refine(dirs, bufs, spare, t1, t2, t3, t4, E, t6):
+            """One pass of iterative refinement on the full step equations.
+
+            ``bufs`` holds the buffers that :func:`directions` wrote ``dirs``
+            into.  The correction is solved in the buffers ``spare``, and the
+            buffer E is overwritten with its residual.
+            """
             dy, dmu, dS, dZ, dtau, dkappa = dirs[:6]
             e1 = t1 - (ws.G @ dy - ws.b * dtau)
             e2 = t2 - (ws.apply(dy) - dS)
             e3 = t3 - (ws.G.T @ dmu + ws.adjoint(dZ) - ws.c * dtau)
             e4 = t4 - (ws.c @ dy - ws.b @ dmu + dkappa)
-            np.subtract(E.x, congruence(Rinvs, slots[1][2], Rinvts, cong[0]) +
-                        congruence(Rts, slots[1][3], Rs, cong[1]), out=E.x)
+            np.subtract(E.x, congruence(Rinvs, bufs[2], Rinvts, cong[0]) +
+                        congruence(Rts, bufs[3], Rs, cong[1]), out=E.x)
             e6 = t6 - (kappa * dtau + tau * dkappa)
-            corr = directions(particular(e1), e2, e3, e4, E, e6, slots[0])
+            corr = directions(particular(e1), e2, e3, e4, E, e6, spare)
             return [a + b for a, b in zip(dirs, corr)]
 
         def max_step(Ds, Dz, dtau, dkappa):
@@ -676,7 +679,8 @@ def solve(problem, options=None):
         dirs = directions(part, t2, t3, t4, E, d_tk, slots[1])
         if merit < 1e-3 or nu < 1e-4:
             # cancellation in direction recovery only matters near the end
-            dirs = refine(dirs, t1, t2, t3, t4, E, d_tk)
+            # the predictor's buffers are free by now
+            dirs = refine(dirs, slots[1], slots[0], t1, t2, t3, t4, E, d_tk)
         dy, dmu, dS, dZ, dtau, dkappa, Ds, Dz = dirs
 
         alpha = STEP_FRAC * max_step(Ds, Dz, dtau, dkappa)

@@ -601,6 +601,25 @@ def test_solver_status_and_metrics_are_advisory(status, make, nonneg):
     assert spec.counters == honest.counters
 
 
+def test_a_hook_cannot_change_the_data_the_check_reads():
+    # the solver's read-only copy of each relaxation is made before the hook
+    # runs, so a hook that rebinds the problem's equality data to zeros
+    # (then y = 0 is feasible) still solves, and is checked on, the problem
+    # as built
+    def solver(problem, options):
+        problem.eq_rows = np.zeros_like(problem.eq_rows)
+        problem.eq_rhs = np.zeros_like(problem.eq_rhs)
+        return solve(problem, options)
+
+    A = Tensor(np.random.default_rng(3).standard_normal((2, 2, 2, 2)))
+    honest = full_sweep("Z", A)
+    spec = full_sweep("Z", A, SweepOptions(solver=solver))
+    assert honest.termination == Termination.CERTIFIED_COMPLETE
+    assert spec.termination == honest.termination
+    assert spec.values == honest.values
+    assert spec.counters == honest.counters
+
+
 @pytest.mark.parametrize("fault, verified", [
     (lambda sol: replace(sol, metrics=None), True),
     (lambda sol: replace(sol, metrics={"iterations": "x"}), True),

@@ -13,7 +13,8 @@ from tensorspectra.momentsdp import (SPLIT_MIN_SIDE, MomentVector, _build_relaxa
                                      dump_problem, localizing_structure,
                                      moment_structure, moment_vector_of_point)
 from tensorspectra.poly import Polynomial, basis_size, moment_index_table, monomials_upto
-from tensorspectra.sdpsolver import ConicSolution, SolveStatus, solve, verify_solution
+from tensorspectra.sdpsolver import (EPS_FEAS, EPS_GAP, ConicSolution, SolveStatus, solve,
+                                     verify_solution)
 
 
 def _unit_moment(n, k, alpha):
@@ -365,13 +366,21 @@ def _assert_parts_embed(red, full):
 
 
 def _assert_lift_proves_the_same(red, full, sol):
-    """The primal-dual result ``sol`` of ``red``, lifted, passes the check of
-    ``full`` and proves there the bound it proves for ``red``, at the same
-    c.y.  So the optima of both relaxations lie between that bound and c.y:
-    the comparison reads one solve, through exact maps, and no second
-    solve's rounding."""
+    """The OPTIMAL primal-dual result ``sol`` of ``red``, lifted, passes the
+    check of ``full`` and proves there the bound it proves for ``red``, at
+    the same c.y.  So the optima of both relaxations lie between that bound
+    and c.y: the comparison reads one solve, through exact maps, and no
+    second solve's rounding.  The interval is as narrow as the solver's
+    stopping rule makes it: the duality gap is within EPS_GAP, and each of
+    the N entries of the dual residual r within EPS_FEAS (1 + max|c|), so
+    the slack, which reads ||r||_1, adds at most N times that."""
+    assert sol.status is SolveStatus.OPTIMAL
     report = verify_solution(red, sol)
     assert report["ok"], report
+    sign = -1.0 if red.maximize else 1.0
+    width = EPS_GAP * (1.0 + 2.0 * abs(report["bound"])) + \
+        red.num_vars * EPS_FEAS * (1.0 + np.max(np.abs(red.c)))
+    assert math.fsum(red.c * sol.y) - sign * report["bound"] <= 2.0 * width
     lifted = _lift_pair(red, full, sol)
     lifted_report = verify_solution(full, lifted)
     assert lifted_report["ok"], lifted_report

@@ -449,7 +449,8 @@ def test_schur_matches_dense_reference(batch, monkeypatch):
         AB = blk.matrix.toarray() @ B
         want += AB.T @ np.kron(Wi, Wi) @ AB
     buf = np.empty(m * 22 * 22)
-    got = _schur(ops, Rinvs, [np.ascontiguousarray(Rinv.T) for Rinv in Rinvs], buf)
+    got = np.zeros((m, m))
+    _schur(ops, Rinvs, [np.ascontiguousarray(Rinv.T) for Rinv in Rinvs], buf, got)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
