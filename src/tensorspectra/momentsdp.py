@@ -206,11 +206,6 @@ class ConicProblem:
     def num_vars(self):
         return self.c.shape[0]
 
-    @property
-    def top_degree(self):
-        """Mask of the variables that are moments of the top degree 2k."""
-        return self.support >= basis_size(self.n, 2 * self.k - 1)
-
     def lift(self, y):
         """The full moment vector of a solution y, zero outside the support."""
         values = np.zeros(basis_size(self.n, 2 * self.k))

@@ -17,18 +17,18 @@ sum_j <S_j, Z_j> + tau*kappa = 0, so either tau > 0 (scaled optimum) or
 kappa > 0 (infeasibility ray).  Search directions use Nesterov-Todd
 scaling with a Mehrotra predictor-corrector.
 
-Each solve factors the equality rows once.  The rows that touch no moment
-of the top degree 2k are eliminated exactly: a QR factorization of their
-transpose gives an orthonormal basis B of their null space, every step in
-y is a fixed particular solution plus B z, and the Schur matrix is
-assembled for z only, from each block's operator projected onto B.  The
-remaining rows, those that pin top-degree moments, stay as constraints
-with their multipliers.  The reduced system in (z, dmu of those rows) is
+Each solve eliminates every equality row exactly, through one QR
+factorization of G^T: it gives an orthonormal basis B of the null space
+of G, every step in y is a particular solution of the rows plus B z, and
+the reduced system is the Schur matrix K = B^T Phi B of z alone, of side
+m = N - p, assembled from each block's operator projected onto B.  K is
 LU-factorized densely with static regularization on its diagonal, which
-one step of iterative refinement takes back out of each solution
-(without it, the reduced and full relaxations of ex51 H end 4.8e-7
-apart).  The multipliers of the eliminated rows are recovered through
-the triangular QR factor, from the dual equation and the direction's dZ.
+one step of iterative refinement takes back out of each solution.  K is
+symmetric positive definite, yet a Cholesky factorization in its place
+ends a reduced order-5 relaxation of ex55 H INACCURATE, where the LU
+converges.  When N = p the rows fix every step, and nothing is factored.
+The multipliers are recovered through the triangular QR factor, from the
+dual equation and the direction's dZ.
 Every product with Phi v = sum_j adj_j(W_j^-1 mat_j(v) W_j^-1), W_j the
 NT scaling of block j, is one adjoint through W_j^-1, formed once per
 iteration; the scaled projected operators serve only to assemble the
@@ -36,10 +36,9 @@ Schur matrix B^T Phi B, one block at a time in one buffer.  Step lengths
 come from the NT-scaled directions Rinv dS Rinv^T and R^T dZ R, which the
 step equations already form: one symmetric eigenvalue call per scaled
 matrix, with no factorization of S or Z.  A direction that is not finite
-gets step 0, which ends the solve with its best iterate.  The top-degree
-moments are the problem's ``top_degree`` variables, so a relaxation over
-part of the moments needs no branch here.  Nor does one whose blocks are
-split by degree parity (see :mod:`momentsdp`): the solver sees more,
+gets step 0, which ends the solve with its best iterate.  A relaxation
+over part of the moments needs no branch here, nor does one whose blocks
+are split by degree parity (see :mod:`momentsdp`): the solver sees more,
 smaller blocks, each with its own NT scaling, and a block-diagonal matrix
 is PSD exactly when each of its diagonal blocks is, so
 :func:`verify_solution` checks the same conditions part by part.  The
@@ -57,11 +56,11 @@ which numpy runs as syrk, exactly symmetric.  The Schur assembly
 (:func:`_schur`) is most of the cost of the largest relaxations.  Per
 iteration and block it takes 2 m q_j^3 multiply-adds for the scaled
 operators Rinv_j mat_j(B e_l) Rinv_j^T and m^2 q_j^2 / 2 for the syrk.
-On the order-5 shifted relaxations of ex55 H and ex56 H (m = 130, sides
-22, 34 and 20), one assembly takes about 1.1 ms on one core of a 2-core
-x86-64 machine (OpenBLAS, one thread): 0.21 ms for the left products,
-0.21 ms for the right ones (0.41 ms with Rinv_j^T a transposed view) and
-0.59 ms for the syrks.
+On the order-5 shifted relaxations of ex55 H and ex56 H (m = 102, sides
+22, 34 and 20), one assembly takes about 0.74 ms on one core of a 2-core
+x86-64 machine (OpenBLAS, one thread): 0.17 ms for the left products,
+0.16 ms for the right ones (0.31 ms with Rinv_j^T a transposed view) and
+0.38 ms for the syrks.
 
 The relaxations are small (a few dozen moments on n = 2 tensors), so the
 iteration is bound by per-call overhead rather than arithmetic.  All PSD
@@ -416,25 +415,15 @@ def solve(problem, options=None):
                              metrics={"iterations": 0, "reason": "inconsistent-equalities"})
 
     N, p = ws.N, ws.p
-    # Equality rows that touch no moment of the top degree 2k are eliminated
-    # exactly: with G_h^T = [Q_h B] [R_h; 0], every step is dy = y_p + B z
-    # where G_h y_p is fixed.  The rows that do touch one stay as constraints
-    # whose multipliers carry STATIC_REG; at a rank-deficient optimum they
-    # pin the moments the relaxation leaves free, and eliminating them too
-    # stalls the iteration on ill-posed relaxations (ex55 H, k = 5).
-    soft = np.any(ws.G[:, problem.top_degree] != 0, axis=1)
-    hard = ~soft
-    G_s = ws.G[soft]
-    ph = p - G_s.shape[0]
-    Q, R_h = scipy.linalg.qr(ws.G[hard].T)
-    B = Q[:, ph:]
-    m = N - ph
-    pinv_t = scipy.linalg.solve_triangular(R_h[:ph], Q[:, :ph].T)   # (G_h^+)^T
-    GsB = G_s @ B
+    # Every equality row is eliminated exactly: with G^T = [Q_1 B] [R_G; 0],
+    # every step is dy = y_p + B z where G y_p is fixed, and the multipliers
+    # come back through R_G from the dual equation.
+    Q, R_G = scipy.linalg.qr(ws.G.T)
+    B = Q[:, p:]
+    m = N - p
+    pinv_t = scipy.linalg.solve_triangular(R_G[:p], Q[:, :p].T)     # (G^+)^T
     Btc = B.T @ ws.c
-    y0 = pinv_t.T @ ws.b[hard]                                      # G_h y0 = b_h
-    b_s = ws.b[soft]
-    b_dmu_s = b_s - G_s @ y0     # b.dmu = y0.(q1 + Phi dy) + b_dmu_s.dmu_s
+    y0 = pinv_t.T @ ws.b                                            # G y0 = b
     # contiguous, so that the batched products below run as BLAS calls
     reduced_ops = [np.ascontiguousarray((blk.matrix @ B).T).reshape(m, q, q)
                    for blk, q in zip(ws.blocks, cone.sides)]
@@ -519,7 +508,7 @@ def solve(problem, options=None):
                                      certificate={"ray": ray}, metrics=metrics)
 
         # Nesterov-Todd scalings and the reduced system
-        #   K = [[B^T Phi B, -(G_s B)^T], [G_s B, 0]] + STATIC_REG I,
+        #   K = B^T Phi B + STATIC_REG I,
         # where Phi v = sum_j adj_j(W_j^-1 mat_j(v) W_j^-1), W_j^-1 = Rinv^T Rinv
         try:
             scalings = [_nt_scaling(Sj, Zj) for Sj, Zj in zip(S_blocks, Z_blocks)]
@@ -535,14 +524,13 @@ def solve(problem, options=None):
         sig = np.concatenate([s for _R, _Rinv, s in scalings])
         h = sig ** -0.5
         hh = h[cone.row] * h[cone.col]
-        K = np.zeros((m + p - ph, m + p - ph))
-        _schur(reduced_ops, Rinvs, Rinvts, scaled_buf, K[:m, :m])
-        K[:m, m:] = -GsB.T
-        K[m:, :m] = GsB
-        K.flat[::K.shape[0] + 1] += STATIC_REG
-        lu, piv, info = lapack.dgetrf(K)
-        if info != 0:        # an exactly zero pivot: treat as a failed factorization
-            break
+        if m:        # else N = p: the equalities fix every step, and K is empty
+            K = np.zeros((m, m))
+            _schur(reduced_ops, Rinvs, Rinvts, scaled_buf, K)
+            K.flat[::m + 1] += STATIC_REG
+            lu, piv, info = lapack.dgetrf(K)
+            if info != 0:    # an exactly zero pivot: treat as a failed factorization
+                break
 
         def congruence(lefts, X, rights, out=cong[0]):
             """L_j X_j R_j for every block X_j of the buffer X, written into
@@ -556,41 +544,38 @@ def solve(problem, options=None):
             the buffer X."""
             return ws.adjoint(congruence(Wis, X, Wis))
 
-        def as_part(y_p, mats_p, t1_s):
+        def as_part(y_p, mats_p):
             """The particular step y_p as null_step takes it: with B^T Phi y_p
             and y0.Phi y_p, given its block matrices in the buffer mats_p."""
             phi_p = phi(mats_p)
-            return y_p, B.T @ phi_p, y0 @ phi_p, t1_s
+            return y_p, B.T @ phi_p, y0 @ phi_p
 
         def particular(t1):
-            """The minimum-norm y_p with G_h y_p = t1_h, reduced, with t1_s."""
-            y_p = pinv_t.T @ t1[hard]
+            """The minimum-norm y_p with G y_p = t1, as :func:`as_part` returns it."""
+            y_p = pinv_t.T @ t1
             P.x[:] = ws.apply(y_p)
-            return as_part(y_p, P, t1[soft])
+            return as_part(y_p, P)
 
         def null_step(q1, Btq1, part):
-            """dy = y_p + B z, dmu_s and b.dmu from the reduced system, given
-            q1 and B^T q1.
+            """dy = y_p + B z and b.dmu from the reduced system, given q1 and
+            B^T q1.
 
-            B^T (Phi dy - G_s^T dmu_s) = -B^T q1 and G_s dy = t1_s, each row
-            regularized as in K; one refinement step takes out STATIC_REG.
-            Then G_h^T dmu_h = q1 + Phi dy - G_s^T dmu_s, and as G_h y0 = b_h,
-            b_h.dmu_h = y0.(q1 + Phi dy - G_s^T dmu_s).
+            B^T Phi B z = -B^T (q1 + Phi y_p), regularized as in K; one
+            refinement step takes out STATIC_REG.  Then G^T dmu = q1 + Phi dy,
+            and as G y0 = b, b.dmu = y0.(q1 + Phi dy).
             """
-            y_p, phi_p, y0_phi_p, t1_s = part
-            rhs = np.concatenate([-Btq1 - phi_p, t1_s - G_s @ y_p])
-            u = lapack.dgetrs(lu, piv, rhs)[0]
-            # needed: without it STATIC_REG biases each step (ex51 H's reduced and
-            # full relaxations end 4.8e-7 apart, a reduced ex55 H one INACCURATE)
-            u += lapack.dgetrs(lu, piv, rhs - K @ u + STATIC_REG * u)[0]
-            z, dmu_s = u[:m], u[m:]
-            b_dmu = y0 @ q1 + y0_phi_p + phi0 @ z + b_dmu_s @ dmu_s
-            return y_p + B @ z, dmu_s, b_dmu
+            y_p, phi_p, y0_phi_p = part
+            rhs = -Btq1 - phi_p
+            z = rhs          # empty when m = 0
+            if m:
+                z = lapack.dgetrs(lu, piv, rhs)[0]
+                z += lapack.dgetrs(lu, piv, rhs - K @ z + STATIC_REG * z)[0]
+            return y_p + B @ z, y0 @ q1 + y0_phi_p + phi0 @ z
 
         # the tau direction: targets c and b in place of q1 and t1
-        part0 = as_part(y0, mats0, b_s)
+        part0 = as_part(y0, mats0)
         phi0 = part0[1]
-        dy_t, dmu_s_t, b_dmu_t = null_step(ws.c, Btc, part0)
+        dy_t, b_dmu_t = null_step(ws.c, Btc, part0)
         denom = ws.c @ dy_t - b_dmu_t - kappa / tau
 
         def directions(part, t2, t3, t4, E, t6, out, with_mu=True):
@@ -608,7 +593,7 @@ def solve(problem, options=None):
             Ds, Dz, dS, dZ = out
             np.add(congruence(Rs, E, Rts), t2, out=F.x)
             q1 = t3 - phi(F)
-            dy_c, dmu_s_c, b_dmu_c = null_step(q1, B.T @ q1, part)
+            dy_c, b_dmu_c = null_step(q1, B.T @ q1, part)
             dtau = (t4 - ws.c @ dy_c + b_dmu_c - t6 / tau) / denom
             dy = dy_c + dtau * dy_t
             dkappa = (t6 - kappa * dtau) / tau
@@ -620,10 +605,8 @@ def solve(problem, options=None):
             cone.sym(mats_dy - t2, out=dS.x)
             dmu = None
             if with_mu:
-                dmu = np.empty(p)
-                dmu[soft] = dmu_s_c + dtau * dmu_s_t
                 # the dual equation; adj reads only dZ's symmetric part
-                dmu[hard] = pinv_t @ (t3 + dtau * ws.c - ws.adjoint(dZ.x) - G_s.T @ dmu[soft])
+                dmu = pinv_t @ (t3 + dtau * ws.c - ws.adjoint(dZ.x))
             return [dy, dmu, dS.x, dZ.x, dtau, dkappa, Ds.x, Dz.x]
 
         def refine(dirs, bufs, spare, t1, t2, t3, t4, E, t6):

@@ -403,6 +403,11 @@ def test_sweep_matches_newton_enumeration_n3(kind, seed):
     _assert_sweep_matches_newton(kind, fixtures.random_tensor(3, 3, seed=seed))
 
 
+def test_sweep_matches_newton_enumeration_n4():
+    _assert_sweep_matches_newton(
+        "Z", Tensor(np.random.default_rng((4, 4, 5)).standard_normal((4,) * 4)))
+
+
 _GAP_THRESH = pytest.mark.xfail(
     strict=True, reason="a gap passes once its bound is within eps_eq = 1e-4 of lam_i, "
                         "so eigenvalues less than 1e-4 above it are skipped (ROADMAP item 1)")

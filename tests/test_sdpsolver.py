@@ -15,7 +15,7 @@ from tensorspectra.momentsdp import (ConicProblem, LocalizingStructure,
                                      moment_vector_of_point)
 from tensorspectra.oracle import brute_z_n2
 from tensorspectra.poly import Polynomial
-from tensorspectra.sdpsolver import (SolveStatus, SolverOptions, _Cone,
+from tensorspectra.sdpsolver import (EPS_FEAS, EPS_GAP, SolveStatus, SolverOptions, _Cone,
                                      _nt_scaling, _scaled_step, _schur, _Workspace,
                                      solve, verify_solution)
 from tensorspectra.tensor import Tensor
@@ -276,6 +276,37 @@ def test_equalities_pin_every_moment():
     assert sol.status == SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(1.0, abs=1e-7)
     assert verify_solution(prob, sol)["ok"]
+
+
+@pytest.mark.parametrize("name,kind,k", [("ex51", "H", 4), ("ex56", "H", 5), ("ex56", "Z", 4)],
+                         ids=["ex51-H", "ex56-H", "ex56-Z"])
+def test_permuted_and_rescaled_rows_prove_the_same_bound(name, kind, k):
+    # permuting the equality rows and scaling each by a factor in [0.5, 2]
+    # changes the QR factors the solver eliminates them with, but not the
+    # relaxation.  Each OPTIMAL solve puts the optimum between its proven
+    # bound and its c.y, an interval no wider than the stopping rule allows
+    # (see test_reduced_relaxation_matches_full), so the two bounds agree
+    # within the wider of the two intervals
+    A = getattr(fixtures, name)()
+    f, hs = z_system(A) if kind == "Z" else h_system(A)[:2]
+    prob = build_min_relaxation(f, hs, [], k)
+    rng = np.random.default_rng(k)
+    perm = rng.permutation(prob.eq_rows.shape[0])
+    scale = rng.uniform(0.5, 2.0, perm.size)
+    moved = replace(prob, eq_rows=prob.eq_rows[perm] * scale[:, None],
+                    eq_rhs=prob.eq_rhs[perm] * scale)
+    bounds, widths = [], []
+    for p in (prob, moved):
+        sol = solve(p)
+        assert sol.status is SolveStatus.OPTIMAL
+        report = verify_solution(p, sol)
+        assert report["ok"], report
+        width = 2.0 * (EPS_GAP * (1.0 + 2.0 * abs(report["bound"])) +
+                       p.num_vars * EPS_FEAS * (1.0 + np.max(np.abs(p.c))))
+        assert p.c @ sol.y - report["bound"] <= width
+        bounds.append(report["bound"])
+        widths.append(width)
+    assert abs(bounds[1] - bounds[0]) <= max(widths)
 
 
 def test_moment_in_no_block():
