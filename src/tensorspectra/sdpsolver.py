@@ -18,17 +18,22 @@ kappa > 0 (infeasibility ray).  Search directions use Nesterov-Todd
 scaling with a Mehrotra predictor-corrector.
 
 Each solve eliminates every equality row exactly, through one QR
-factorization of G^T: it gives an orthonormal basis B of the null space
-of G, every step in y is a particular solution of the rows plus B z, and
-the reduced system is the Schur matrix K = B^T Phi B of z alone, of side
-m = N - p, assembled from each block's operator projected onto B.  K is
-LU-factorized densely with static regularization on its diagonal, which
-one step of iterative refinement takes back out of each solution.  K is
-symmetric positive definite, yet a Cholesky factorization in its place
-ends a reduced order-5 relaxation of ex55 H INACCURATE, where the LU
-converges.  When N = p the rows fix every step, and nothing is factored.
-The multipliers are recovered through the triangular QR factor, from the
-dual equation and the direction's dZ.
+factorization of G^T: it gives y0, the least-norm solution of G y0 = b,
+and an orthonormal basis B of the null space of G.  The iteration starts
+at y = y0 with tau = 1 and takes every step as dy = B z + dtau y0, so
+G y = b tau holds to rounding at every iterate; the primal residual keeps
+G y - b tau only to show that rounding.  The reduced system is the Schur
+matrix K = B^T Phi B of z alone, of side m = N - p, assembled from each
+block's operator projected onto B.  K is LU-factorized densely and in
+place, with static regularization on its diagonal, and each solution is
+one getrs.  K is symmetric positive definite, yet a Cholesky
+factorization in its place ends a reduced order-5 relaxation of ex55 H
+INACCURATE, where the LU converges.  When N = p the rows fix every step,
+and nothing is factored.  The multipliers are no iterate: each iteration
+reads them off the dual equation, as its least-squares solution
+mu = (G^+)^T (c tau - sum_j adj_j(Z_j)), so the dual residual is the part
+of the dual equation in the null space of G, and a step needs only
+b.dmu = y0.(G^T dmu).
 Every product with Phi v = sum_j adj_j(W_j^-1 mat_j(v) W_j^-1), W_j the
 NT scaling of block j, is one adjoint through W_j^-1, formed once per
 iteration; the scaled projected operators serve only to assemble the
@@ -64,23 +69,24 @@ x86-64 machine (OpenBLAS, one thread): 0.17 ms for the left products,
 
 The relaxations are small (a few dozen moments on n = 2 tensors), so the
 iteration is bound by per-call overhead rather than arithmetic.  All PSD
-blocks of a relaxation are one flat vector, each block's matrix row-major
-in its own span (:class:`_Cone`), so each elementwise step is one numpy
-expression over every block: the residual, the symmetric part as
-(x + x[T]) / 2 with T the transpose permutation, the right-hand sides of
-the step equations, the step-length scaling, the refinement sums and the
-updates of S and Z.  The blocks are applied as one ``np.bincount`` over
-their concatenated stored (row, column, value) entries, which sums in the
-order of the sparse matrix products; the adjoint takes one bincount per
-block and adds them in block order.  Only linear algebra stays per block:
-the NT factors, the congruences, the Schur assembly and the step lengths'
-eigenvalues.  The congruences read their inputs from, and write their
-results into, flat buffers whose block views are made once per solve.
-Per-block maxima come from ``np.maximum.reduceat``, which is exact, and
-per-block sums from ``np.sum`` over each block's span, so every iterate is
-bit for bit that of a loop over separate block matrices.  The NT factors
-and the step lengths call LAPACK (potrf, gesdd, syevd) directly, without
-the ``np.linalg`` wrappers.
+blocks of a relaxation are one flat vector, each block's matrix
+row-major in its own span (:class:`_Cone`), so each elementwise step is
+one numpy expression over every block: the residual, the symmetric part
+as (x + x[T]) / 2 with T the transpose permutation, the right-hand sides
+of the step equations and the residuals of their refinement, the
+step-length scaling and the updates of S and Z.  The blocks are applied
+as one ``np.bincount`` over their concatenated stored (row, column,
+value) entries, which sums in the order of the sparse matrix products;
+the adjoint takes one bincount per block and adds them in block order.
+Only linear algebra stays per block: the NT factors, the congruences,
+the Schur assembly and the step lengths' eigenvalues.  The congruences
+read their inputs from, and write their results into, flat buffers whose
+block views are made once per solve.  Per-block maxima come from
+``np.maximum.reduceat``, which is exact, and per-block sums from
+``np.sum`` over each block's span, so every iterate is bit for bit that
+of a loop over separate block matrices.  The NT factors and the step
+lengths call LAPACK (potrf, gesdd, syevd) directly, without the
+``np.linalg`` wrappers.
 
 A solve that ends without converging returns its best iterate, with
 ``iterations`` the steps it ran and ``best_iteration`` the step count at
@@ -175,7 +181,8 @@ class SolveStatus(Enum):
 EPS_FEAS = 1e-8          # relative primal and dual residual of an optimum
 EPS_GAP = 1e-8           # relative duality gap of an optimum
 TAU_KAPPA_TOL = 1e-8     # tau below this times max(1, kappa) shows a ray
-STATIC_REG = 1e-10       # diagonal regularization of the reduced system
+STATIC_REG = 1e-10       # diagonal regularization of the reduced system; it stays in
+                         # each solution, as no refinement takes it back out
 STEP_FRAC = 0.98         # fraction of the step to the cone boundary taken
 INACCURATE_TOL = 1e-4    # merit of a best iterate still reported INACCURATE
 VERIFY_FEAS = 1e-6       # verify_solution's feasibility tolerance on y
@@ -402,7 +409,9 @@ def solve(problem, options=None):
     The reported objective is in the problem's stated sense (max problems
     report the maximum).  Statuses follow :class:`SolveStatus`; OPTIMAL and
     PRIMAL_INFEASIBLE satisfy the invariants checked by
-    :func:`verify_solution`.
+    :func:`verify_solution`.  ``eq_duals`` is the least-squares solution mu
+    of G^T mu = c - sum_j adj_j(Z_j) for the returned ``block_duals`` Z_j,
+    computed from the iterate, through the QR factors of G^T.
     """
     opts = options or SolverOptions()
     ws = _workspace(problem)
@@ -416,31 +425,31 @@ def solve(problem, options=None):
 
     N, p = ws.N, ws.p
     # Every equality row is eliminated exactly: with G^T = [Q_1 B] [R_G; 0],
-    # every step is dy = y_p + B z where G y_p is fixed, and the multipliers
-    # come back through R_G from the dual equation.
+    # y starts at y0 with G y0 = b and tau = 1, every step is
+    # dy = B z + dtau y0, so G y = b tau holds to rounding at every iterate,
+    # and the multipliers are the least-squares solution of the dual equation.
     Q, R_G = scipy.linalg.qr(ws.G.T)
     B = Q[:, p:]
     m = N - p
     pinv_t = scipy.linalg.solve_triangular(R_G[:p], Q[:, :p].T)     # (G^+)^T
-    Btc = B.T @ ws.c
     y0 = pinv_t.T @ ws.b                                            # G y0 = b
+    Btc = B.T @ ws.c
     # contiguous, so that the batched products below run as BLAS calls
     reduced_ops = [np.ascontiguousarray((blk.matrix @ B).T).reshape(m, q, q)
                    for blk, q in zip(ws.blocks, cone.sides)]
     # the scaled operators serve only the Schur matrix, so one buffer sized
     # for the largest block holds those of each block in turn
     scaled_buf = np.empty(m * max((q * q for q in cone.sides), default=0))
-    y = np.zeros(N)
-    mu = np.zeros(p)
+    y = y0.copy()
     S = cone.eye.copy()
     Z = cone.eye.copy()
     S_blocks, Z_blocks = cone.views(S), cone.views(Z)
     # Every congruence reads its blocks from, and writes them into, flat
     # buffers whose views are made once per solve: two for its results, E
-    # and F for the step equations, P for a particular step's blocks, and
-    # Ds, Dz, dS and dZ for each of the two directions alive at once.
+    # and F for the step equations, y0's blocks, and Ds, Dz, dS and dZ for
+    # each of the two directions alive at once.
     cong = [_Flat(cone) for _ in range(2)]
-    E, F, P, mats0 = (_Flat(cone) for _ in range(4))
+    E, F, mats0 = (_Flat(cone) for _ in range(3))
     mats0.x[:] = ws.apply(y0)
     slots = [[_Flat(cone) for _ in range(4)] for _ in range(2)]
     tau, kappa = 1.0, 1.0
@@ -450,9 +459,12 @@ def solve(problem, options=None):
     tiny_steps = 0
     steps = 0
     for it in range(opts.max_iter):
-        rp = ws.G @ y - ws.b * tau
+        # the multipliers: the dual equation's least-squares solution
+        adj_Z = ws.adjoint(Z)
+        mu = pinv_t @ (ws.c * tau - adj_Z)
+        rp = ws.G @ y - ws.b * tau       # rounding only: the steps keep G y = b tau
         Rh = ws.apply(y) - S
-        rd = ws.G.T @ mu + ws.adjoint(Z) - ws.c * tau
+        rd = ws.G.T @ mu + adj_Z - ws.c * tau
         rg = ws.c @ y - ws.b @ mu + kappa
         gap_cone = cone.block_sums(S * Z)
         nu = (gap_cone + tau * kappa) / nu_den
@@ -470,7 +482,7 @@ def solve(problem, options=None):
                    "tau": float(tau), "kappa": float(kappa)}
         merit = max(pres, dres, relgap)
         if best is None or merit < best[0]:
-            best = (merit, y.copy(), mu.copy(), Z.copy(), tau, metrics)
+            best = (merit, y.copy(), mu, Z.copy(), tau, metrics)
 
         if pres <= EPS_FEAS and dres <= EPS_FEAS and relgap <= EPS_GAP:
             return ConicSolution(
@@ -525,10 +537,11 @@ def solve(problem, options=None):
         h = sig ** -0.5
         hh = h[cone.row] * h[cone.col]
         if m:        # else N = p: the equalities fix every step, and K is empty
-            K = np.zeros((m, m))
+            # column-major, so that getrf factors it in place
+            K = np.zeros((m, m), order="F")
             _schur(reduced_ops, Rinvs, Rinvts, scaled_buf, K)
             K.flat[::m + 1] += STATIC_REG
-            lu, piv, info = lapack.dgetrf(K)
+            lu, piv, info = lapack.dgetrf(K, overwrite_a=1)
             if info != 0:    # an exactly zero pivot: treat as a failed factorization
                 break
 
@@ -544,56 +557,42 @@ def solve(problem, options=None):
             the buffer X."""
             return ws.adjoint(congruence(Wis, X, Wis))
 
-        def as_part(y_p, mats_p):
-            """The particular step y_p as null_step takes it: with B^T Phi y_p
-            and y0.Phi y_p, given its block matrices in the buffer mats_p."""
-            phi_p = phi(mats_p)
-            return y_p, B.T @ phi_p, y0 @ phi_p
+        def null_step(q, Btq):
+            """dy = B z with B^T (q + Phi dy) = 0, and y0.(q + Phi dy), given q
+            and B^T q.
 
-        def particular(t1):
-            """The minimum-norm y_p with G y_p = t1, as :func:`as_part` returns it."""
-            y_p = pinv_t.T @ t1
-            P.x[:] = ws.apply(y_p)
-            return as_part(y_p, P)
-
-        def null_step(q1, Btq1, part):
-            """dy = y_p + B z and b.dmu from the reduced system, given q1 and
-            B^T q1.
-
-            B^T Phi B z = -B^T (q1 + Phi y_p), regularized as in K; one
-            refinement step takes out STATIC_REG.  Then G^T dmu = q1 + Phi dy,
-            and as G y0 = b, b.dmu = y0.(q1 + Phi dy).
+            B^T Phi B z = -B^T q is solved regularized as in K.  As G y0 = b
+            and G^T dmu = q + Phi dy up to its null-space part, the second
+            value is b.dmu.
             """
-            y_p, phi_p, y0_phi_p = part
-            rhs = -Btq1 - phi_p
-            z = rhs          # empty when m = 0
+            z = -Btq          # empty when m = 0
             if m:
-                z = lapack.dgetrs(lu, piv, rhs)[0]
-                z += lapack.dgetrs(lu, piv, rhs - K @ z + STATIC_REG * z)[0]
-            return y_p + B @ z, y0 @ q1 + y0_phi_p + phi0 @ z
+                z = lapack.dgetrs(lu, piv, z)[0]
+            return B @ z, y0 @ q + phi0 @ z
 
-        # the tau direction: targets c and b in place of q1 and t1
-        part0 = as_part(y0, mats0)
-        phi0 = part0[1]
-        dy_t, b_dmu_t = null_step(ws.c, Btc, part0)
+        # the tau direction: dy_t = y0 + B z_t, with c and Phi y0 as its target
+        phi_y0 = phi(mats0)
+        phi0 = B.T @ phi_y0
+        dy_t, b_dmu_t = null_step(ws.c + phi_y0, Btc + phi0)
+        dy_t += y0
         denom = ws.c @ dy_t - b_dmu_t - kappa / tau
 
-        def directions(part, t2, t3, t4, E, t6, out, with_mu=True):
+        def directions(t2, t3, t4, E, t6, out):
             """Solve the linearized step equations for general targets.
 
-            G dy - b dtau = t1;  mat_j(dy) - dS_j = t2_j;
+            G dy - b dtau = 0;  mat_j(dy) - dS_j = t2_j;
             G^T dmu + adj(dZ) - c dtau = t3;  c.dy - b.dmu + dkappa = t4;
             Rinv dS Rinv^T + R^T dZ R = E_j;  kappa dtau + tau dkappa = t6,
-            where ``part`` is :func:`particular` of t1, t2 is a flat cone
-            vector and E a buffer.  Without ``with_mu``, dmu is left as None.
-            Also returns the scaled directions Ds = Rinv dS Rinv^T and
+            where t2 is a flat cone vector and E a buffer, and dmu is free:
+            only b.dmu = y0.(t3 + dtau c - adj(dZ)) enters.  Returns dy, dS,
+            dZ, dtau, dkappa and the scaled directions Ds = Rinv dS Rinv^T and
             Dz = R^T dZ R of each block.  Ds, Dz, dS and dZ are written into
             the buffers ``out``.
             """
             Ds, Dz, dS, dZ = out
             np.add(congruence(Rs, E, Rts), t2, out=F.x)
             q1 = t3 - phi(F)
-            dy_c, b_dmu_c = null_step(q1, B.T @ q1, part)
+            dy_c, b_dmu_c = null_step(q1, B.T @ q1)
             dtau = (t4 - ws.c @ dy_c + b_dmu_c - t6 / tau) / denom
             dy = dy_c + dtau * dy_t
             dkappa = (t6 - kappa * dtau) / tau
@@ -603,28 +602,25 @@ def solve(problem, options=None):
             np.subtract(E.x, Dz.x, out=Ds.x)
             cone.sym(congruence(Rinvts, Dz, Rinvs), out=dZ.x)
             cone.sym(mats_dy - t2, out=dS.x)
-            dmu = None
-            if with_mu:
-                # the dual equation; adj reads only dZ's symmetric part
-                dmu = pinv_t @ (t3 + dtau * ws.c - ws.adjoint(dZ.x))
-            return [dy, dmu, dS.x, dZ.x, dtau, dkappa, Ds.x, Dz.x]
+            return [dy, dS.x, dZ.x, dtau, dkappa, Ds.x, Dz.x]
 
-        def refine(dirs, bufs, spare, t1, t2, t3, t4, E, t6):
+        def refine(dirs, bufs, spare, t2, t3, t4, E, t6):
             """One pass of iterative refinement on the full step equations.
 
             ``bufs`` holds the buffers that :func:`directions` wrote ``dirs``
             into.  The correction is solved in the buffers ``spare``, and the
-            buffer E is overwritten with its residual.
+            buffer E is overwritten with its residual.  The dual equation's
+            residual is its null-space part: dmu absorbs the rest.
             """
-            dy, dmu, dS, dZ, dtau, dkappa = dirs[:6]
-            e1 = t1 - (ws.G @ dy - ws.b * dtau)
+            dy, dS, dZ, dtau, dkappa = dirs[:5]
+            g_dmu = t3 + ws.c * dtau - ws.adjoint(dZ)      # G^T dmu + e3
             e2 = t2 - (ws.apply(dy) - dS)
-            e3 = t3 - (ws.G.T @ dmu + ws.adjoint(dZ) - ws.c * dtau)
-            e4 = t4 - (ws.c @ dy - ws.b @ dmu + dkappa)
+            e3 = B @ (B.T @ g_dmu)
+            e4 = t4 - (ws.c @ dy - y0 @ g_dmu + dkappa)
             np.subtract(E.x, congruence(Rinvs, bufs[2], Rinvts, cong[0]) +
                         congruence(Rts, bufs[3], Rs, cong[1]), out=E.x)
             e6 = t6 - (kappa * dtau + tau * dkappa)
-            corr = directions(particular(e1), e2, e3, e4, E, e6, spare)
+            corr = directions(e2, e3, e4, E, e6, spare)
             return [a + b for a, b in zip(dirs, corr)]
 
         def max_step(Ds, Dz, dtau, dkappa):
@@ -635,17 +631,15 @@ def solve(problem, options=None):
                 a = min(a, kappa / (-dkappa))
             return a
 
-        t1, t2, t3, t4 = -rp, -Rh, -rd, -rg
-
-        part = particular(t1)
+        t2, t3, t4 = -Rh, -rd, -rg
 
         # predictor
         E.x.fill(0.0)
         E.x[cone.diag] = -sig
-        aff = directions(part, t2, t3, t4, E, -tau * kappa, slots[0], with_mu=False)
-        a_aff = min(1.0, max_step(aff[6], aff[7], aff[4], aff[5]))
-        gap_aff = cone.block_sums((S + a_aff * aff[2]) * (Z + a_aff * aff[3]))
-        gap_aff += (tau + a_aff * aff[4]) * (kappa + a_aff * aff[5])
+        aff = directions(t2, t3, t4, E, -tau * kappa, slots[0])
+        a_aff = min(1.0, max_step(aff[5], aff[6], aff[3], aff[4]))
+        gap_aff = cone.block_sums((S + a_aff * aff[1]) * (Z + a_aff * aff[2]))
+        gap_aff += (tau + a_aff * aff[3]) * (kappa + a_aff * aff[4])
         sigma = float(np.clip((max(gap_aff, 0.0) / (nu * nu_den)) ** 3, 1e-8, 0.999))
 
         # corrector: E_j = 2 (sigma nu I - diag(sig)^2 - (Ds Dz + Dz Ds) / 2)
@@ -658,20 +652,19 @@ def solve(problem, options=None):
             np.matmul(Dzj, Dsj, out=Qj)
         np.divide(2.0 * (D - (cong[0].x + cong[1].x) / 2.0), sig[cone.row] + sig[cone.col],
                   out=E.x)
-        d_tk = sigma * nu - tau * kappa - aff[4] * aff[5]
-        dirs = directions(part, t2, t3, t4, E, d_tk, slots[1])
+        d_tk = sigma * nu - tau * kappa - aff[3] * aff[4]
+        dirs = directions(t2, t3, t4, E, d_tk, slots[1])
         if merit < 1e-3 or nu < 1e-4:
             # cancellation in direction recovery only matters near the end
             # the predictor's buffers are free by now
-            dirs = refine(dirs, slots[1], slots[0], t1, t2, t3, t4, E, d_tk)
-        dy, dmu, dS, dZ, dtau, dkappa, Ds, Dz = dirs
+            dirs = refine(dirs, slots[1], slots[0], t2, t3, t4, E, d_tk)
+        dy, dS, dZ, dtau, dkappa, Ds, Dz = dirs
 
         alpha = STEP_FRAC * max_step(Ds, Dz, dtau, dkappa)
         alpha = min(alpha, 1.0)
         if not np.isfinite(alpha) or alpha <= 0.0:
             break
         y += alpha * dy
-        mu += alpha * dmu
         for X, dX in ((S, dS), (Z, dZ)):
             X += alpha * dX
             X += X[cone.T]

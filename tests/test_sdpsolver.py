@@ -245,21 +245,33 @@ def test_unbounded_problem_yields_dual_infeasibility_ray(build):
     assert np.max(np.abs(prob.eq_rows @ ray)) <= 1e-7 * scale
 
 
+def _assert_on_the_equalities(prob, sol):
+    """The returned y meets G y = b to rounding, and (mu, Z_j) meets the dual
+    equation up to its null-space part: G (c - G^T mu - sum_j adj_j(Z_j))
+    vanishes to rounding, so mu holds the equalities' multipliers."""
+    assert verify_solution(prob, sol)["eq_residual"] <= 1e-12 * (1.0 + np.max(np.abs(prob.eq_rhs)))
+    adj = sum(blk.matrix.T @ Zj.ravel() for blk, Zj in zip(prob.blocks, sol.block_duals))
+    r = prob.c - prob.eq_rows.T @ sol.eq_duals - adj
+    assert np.max(np.abs(prob.eq_rows @ r)) <= 1e-12 * (1.0 + np.max(np.abs(prob.c)))
+
+
 def test_iteration_limit_status():
     prob = _toy_min()
     sol = solve(prob, SolverOptions(max_iter=1))
     assert sol.status in (SolveStatus.ITERATION_LIMIT, SolveStatus.INACCURATE)
+    _assert_on_the_equalities(prob, sol)
 
 
 def test_unconverged_solve_counts_every_step():
-    # the ex56 Z order-3 minimization needs 14 steps
-    f, hs = z_system(fixtures.ex56())
-    prob = build_min_relaxation(f, hs, [], 3)
-    assert solve(prob).iterations > 5
-    sol = solve(prob, SolverOptions(max_iter=5))
-    assert sol.status in (SolveStatus.ITERATION_LIMIT, SolveStatus.INACCURATE)
-    assert sol.iterations == 5
-    assert 0 <= sol.metrics["best_iteration"] <= 5
+    # the ex56 Z order-3 and ex51 H order-4 minimizations need 14 and 8 steps
+    for prob in (build_min_relaxation(*z_system(fixtures.ex56()), [], 3),
+                 build_min_relaxation(*h_system(fixtures.ex51())[:2], [], 4)):
+        assert solve(prob).iterations > 5
+        sol = solve(prob, SolverOptions(max_iter=5))
+        assert sol.status in (SolveStatus.ITERATION_LIMIT, SolveStatus.INACCURATE)
+        assert sol.iterations == 5
+        assert 0 <= sol.metrics["best_iteration"] <= 5
+        _assert_on_the_equalities(prob, sol)
 
 
 def test_solution_metrics_present():
