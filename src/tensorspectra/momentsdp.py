@@ -184,6 +184,9 @@ class ConicProblem:
     with the equality sum_i x_i^d - 1, d even (see :mod:`sdpsolver`).
     ``workspace`` holds the solver's read-only copy of this data, made from
     it on first use by ``sdpsolver.solve`` or ``sdpsolver.verify_solution``.
+    ``eq_factors``, a dict shared by every relaxation of one order and sign
+    invariance in one store, holds the solver's factors of ``eq_rows`` (see
+    ``sdpsolver._equality_factors``); with None each solve factors its own.
     """
 
     n: int
@@ -196,6 +199,7 @@ class ConicProblem:
     farkas_mu: np.ndarray | None = None
     support: np.ndarray | None = None
     moment_bound: float | None = None
+    eq_factors: dict | None = field(default=None, repr=False, compare=False)
     workspace: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -335,28 +339,41 @@ def _build_relaxation(f, eqs, ineqs, k, maximize, store, reduce=True):
     if invariant:
         c = c[support]
     parts = _parity_parts if invariant else (lambda s: [s])
+    shared = store is not None
     store = {} if store is None else store
+    if "moment_bound" not in store:
+        store["moment_bound"] = _moment_bound(eqs)
     if (k, invariant) not in store:
-        store[k, invariant] = (
-            parts(moment_structure(n, k, support)),
-            _equality_system(eqs, k, c.shape[0], support), _moment_bound(eqs))
-    moments, (eq_rows, eq_rhs, farkas_mu), moment_bound = store[k, invariant]
+        moments = parts(moment_structure(n, k, support))
+        eq_system = _equality_system(eqs, k, c.shape[0], support)
+        if shared:
+            # every later relaxation of this order reads these arrays, so
+            # no caller, nor a solver hook, may write into them
+            for a in [*eq_system, *(a for s in moments for a in (
+                    s.matrix.data, s.matrix.indices, s.matrix.indptr, s.support, s.rows))]:
+                if a is not None:
+                    a.flags.writeable = False
+        store[k, invariant] = moments, eq_system, {}
+    moments, (eq_rows, eq_rhs, farkas_mu), eq_factors = store[k, invariant]
 
     blocks = list(moments)
     for g in ineqs:
         blocks.extend(parts(localizing_structure(g, k, support)))
     return ConicProblem(n=n, k=k, c=c, eq_rows=eq_rows, eq_rhs=eq_rhs,
                         blocks=blocks, maximize=maximize, farkas_mu=farkas_mu,
-                        support=support, moment_bound=moment_bound)
+                        support=support, moment_bound=store["moment_bound"],
+                        eq_factors=eq_factors)
 
 
 def build_min_relaxation(f, eqs, ineqs, k, store=None):
     """Order-k moment relaxation of minimizing f over {eqs = 0, ineqs >= 0}.
 
     ``store``, a dict shared only by relaxations with the same eqs, keeps
-    the moment block (or its parity parts), the reduced equality system
-    and the moment bound per order k (and per sign invariance, see the
-    module docstring).
+    the moment bound, and per order k (and per sign invariance, see the
+    module docstring) the moment block (or its parity parts), the reduced
+    equality system and the solver's factors of it (``eq_factors``).  The
+    arrays it shares are read-only; without a store, every array is the
+    relaxation's own.
     """
     return _build_relaxation(f, eqs, ineqs, k, False, store)
 

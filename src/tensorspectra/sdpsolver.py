@@ -18,10 +18,14 @@ kappa > 0 (infeasibility ray).  Search directions use Nesterov-Todd
 scaling with a Mehrotra predictor-corrector.
 
 Each solve eliminates every equality row exactly, through one QR
-factorization of G^T: it gives y0, the least-norm solution of G y0 = b,
-and an orthonormal basis B of the null space of G.  The iteration starts
-at y = y0 with tau = 1 and takes every step as dy = B z + dtau y0, so
-G y = b tau holds to rounding at every iterate; the primal residual keeps
+factorization of G^T: it gives (G^+)^T, so y0 = G^+ b, the least-norm
+solution of G y0 = b, and an orthonormal basis B of the null space of G.
+The relaxations of one order and sign invariance in a sweep share their
+equality system, and with it these two factors (``eq_factors``, see
+:mod:`momentsdp`), so a sweep factors each of its systems once; each
+solve still forms y0 from its own b.  The iteration starts at y = y0
+with tau = 1 and takes every step as dy = B z + dtau y0, so G y = b tau
+holds to rounding at every iterate; the primal residual keeps
 G y - b tau only to show that rounding.  The reduced system is the Schur
 matrix K = B^T Phi B of z alone, of side m = N - p, assembled from each
 block's operator projected onto B.  K is LU-factorized densely and in
@@ -31,25 +35,29 @@ factorization in its place ends a reduced order-5 relaxation of ex55 H
 INACCURATE, where the LU converges.  When N = p the rows fix every step,
 and nothing is factored.  The multipliers are no iterate: each iteration
 reads them off the dual equation, as its least-squares solution
-mu = (G^+)^T (c tau - sum_j adj_j(Z_j)), so the dual residual is the part
-of the dual equation in the null space of G, and a step needs only
-b.dmu = y0.(G^T dmu).
-Every product with Phi v = sum_j adj_j(W_j^-1 mat_j(v) W_j^-1), W_j the
-NT scaling of block j, is one adjoint through W_j^-1, formed once per
-iteration; the scaled projected operators serve only to assemble the
-Schur matrix B^T Phi B, one block at a time in one buffer.  Step lengths
-come from the NT-scaled directions Rinv dS Rinv^T and R^T dZ R, which the
-step equations already form: one symmetric eigenvalue call per scaled
-matrix, with no factorization of S or Z.  A direction that is not finite
-gets step 0, which ends the solve with its best iterate.  A relaxation
-over part of the moments needs no branch here, nor does one whose blocks
-are split by degree parity (see :mod:`momentsdp`): the solver sees more,
-smaller blocks, each with its own NT scaling, and a block-diagonal matrix
-is PSD exactly when each of its diagonal blocks is, so
-:func:`verify_solution` checks the same conditions part by part.  The
-scaling of the projected operators and the Schur products cost in
-proportion to the sum of the squared block sides: 50² + 34² = 3656 for
-the parts of ex56 H's moment block at k = 6, against 84² = 7056 whole.
+mu = (G^+)^T (c tau - sum_j adj_j(Z_j)), so the dual residual is the
+part of the dual equation in the null space of G, and a step needs only
+b.dmu = y0.(G^T dmu).  Every product with
+Phi v = sum_j adj_j(W_j^-1 mat_j(v) W_j^-1), W_j the NT scaling of block
+j, is one adjoint through W_j^-1, formed once per iteration; the scaled
+projected operators serve only to assemble the Schur matrix B^T Phi B,
+one block at a time in one buffer.  Step lengths come from the NT-scaled
+directions Ds = Rinv dS Rinv^T and Dz = R^T dZ R, which the step
+equations already form, with no factorization of S or Z: the corrector
+takes one symmetric eigenvalue call per scaled matrix.  The predictor's
+right-hand side is -diag(sig), so its Ds is -diag(sig) - Dz: one
+eigenvalue call per block bounds both of its sides, and its gap is
+(1 - a) sig.sig + a^2 <Ds, Dz>, so the predictor forms neither dS nor
+dZ.  A direction that is not finite gets step 0, which ends the solve
+with its best iterate.  A relaxation over part of the moments needs no
+branch here, nor does one whose blocks are split by degree parity (see
+:mod:`momentsdp`): the solver sees more, smaller blocks, each with its
+own NT scaling, and a block-diagonal matrix is PSD exactly when each of
+its diagonal blocks is, so :func:`verify_solution` checks the same
+conditions part by part.  The scaling of the projected operators and the
+Schur products cost in proportion to the sum of the squared block sides:
+50² + 34² = 3656 for the parts of ex56 H's moment block at k = 6,
+against 84² = 7056 whole.
 
 Every right-hand factor of the products in the Schur assembly and the
 congruences is passed in NN layout, C-contiguous: R_j^T and Rinv_j^T are
@@ -254,6 +262,26 @@ def _schur(ops, Rinvs, Rinvts, buf, out):
         out += V @ V.T
 
 
+def _eigenvalue_range(cone, M):
+    """The least and the largest eigenvalue over the blocks of M, or None
+    when M is not finite or LAPACK cannot compute its eigenvalues."""
+    if not np.isfinite(M).all():
+        return None
+    lo, hi = np.inf, -np.inf
+    for Mj in cone.views(M):
+        w, _v, info = lapack.dsyevd(Mj, compute_v=0, lower=1)
+        if info != 0:
+            return None
+        lo, hi = min(lo, w[0]), max(hi, w[-1])
+    return lo, hi
+
+
+def _boundary_step(lam):
+    """The step a to the PSD boundary, given the least eigenvalue lam of the
+    scaled direction: infinite when lam >= 0, else 1 / -lam."""
+    return np.inf if lam >= 0.0 else 1.0 / (-lam)
+
+
 def _scaled_step(cone, hh, Ds, Dz):
     """Largest a with S + a dS and Z + a dZ both still PSD, in every block.
 
@@ -263,19 +291,34 @@ def _scaled_step(cone, hh, Ds, Dz):
     sig_i^-1/2 sig_l^-1/2 at cell (i, l) of each block.  A direction that
     is not finite, or whose eigenvalues LAPACK cannot compute, gets step 0.
     """
-    lam = np.inf
-    for D in (Ds, Dz):
-        M = D * hh
-        if not np.isfinite(M).all():
-            return 0.0
-        for Mj in cone.views(M):
-            w, _v, info = lapack.dsyevd(Mj, compute_v=0, lower=1)
-            if info != 0:
-                return 0.0
-            lam = min(lam, w[0])
-    if lam >= 0.0:
-        return np.inf
-    return 1.0 / (-lam)
+    ranges = [_eigenvalue_range(cone, D * hh) for D in (Ds, Dz)]
+    if None in ranges:
+        return 0.0
+    return _boundary_step(min(lo for lo, _hi in ranges))
+
+
+def _predictor_step(cone, hh, Dz):
+    """:func:`_scaled_step` along the predictor, from Dz alone.
+
+    The predictor's Ds is -diag(sig) - Dz, so its scaled form is -I - M with
+    M = hh Dz, whose least eigenvalue is -1 - lambda_max(M): one eigenvalue
+    call per block bounds both sides of the step.
+    """
+    bounds = _eigenvalue_range(cone, Dz * hh)
+    if bounds is None:
+        return 0.0
+    lo, hi = bounds
+    return _boundary_step(min(lo, -1.0 - hi))
+
+
+def _predictor_gap(sig, Ds, Dz, a):
+    """sum_j <S_j + a dS_j, Z_j + a dZ_j> along the predictor.
+
+    In the NT-scaled space S and Z are both diag(sig), and the pairing is
+    invariant: <S, Z> = sig.sig, <dS, dZ> = <Ds, Dz>, and <S, dZ> + <dS, Z>
+    = <diag(sig), Ds + Dz> = -sig.sig, as Ds + Dz = -diag(sig).
+    """
+    return (1.0 - a) * (sig @ sig) + a * a * (Ds @ Dz)
 
 
 class _Cone:
@@ -403,6 +446,27 @@ def _workspace(problem):
     return problem.workspace
 
 
+def _equality_factors(ws, shared):
+    """B, an orthonormal basis of the null space of G, and (G^+)^T.
+
+    One QR factorization of G^T = [Q_1 B] [R_G; 0] gives both.  ``shared``
+    is the problem's ``eq_factors``: a dict that every relaxation of one
+    order and sign invariance of a sweep holds (:mod:`momentsdp`), or None.
+    The first solve fills it, with the G it factored, and a later one reuses
+    the factors only when its own G is equal.  Both factors are read-only,
+    and B is copied out of Q, so that Q is freed.
+    """
+    if shared and np.array_equal(shared["G"], ws.G):
+        return shared["B"], shared["pinv_t"]
+    Q, R_G = scipy.linalg.qr(ws.G.T)
+    B = np.array(Q[:, ws.p:], order="F")
+    pinv_t = scipy.linalg.solve_triangular(R_G[:ws.p], Q[:, :ws.p].T)
+    _read_only(B, pinv_t)
+    if shared is not None and not shared:
+        shared.update(G=ws.G, B=B, pinv_t=pinv_t)
+    return B, pinv_t
+
+
 def solve(problem, options=None):
     """Solve a conic problem, returning a :class:`ConicSolution`.
 
@@ -411,7 +475,9 @@ def solve(problem, options=None):
     PRIMAL_INFEASIBLE satisfy the invariants checked by
     :func:`verify_solution`.  ``eq_duals`` is the least-squares solution mu
     of G^T mu = c - sum_j adj_j(Z_j) for the returned ``block_duals`` Z_j,
-    computed from the iterate, through the QR factors of G^T.
+    computed from the iterate as (G^+)^T (c - sum_j adj_j(Z_j)), with
+    (G^+)^T from one QR factorization of G^T that the relaxations sharing
+    the problem's ``eq_factors`` and its G share too.
     """
     opts = options or SolverOptions()
     ws = _workspace(problem)
@@ -423,15 +489,12 @@ def solve(problem, options=None):
         return ConicSolution(status=SolveStatus.PRIMAL_INFEASIBLE, certificate=cert,
                              metrics={"iterations": 0, "reason": "inconsistent-equalities"})
 
-    N, p = ws.N, ws.p
-    # Every equality row is eliminated exactly: with G^T = [Q_1 B] [R_G; 0],
-    # y starts at y0 with G y0 = b and tau = 1, every step is
-    # dy = B z + dtau y0, so G y = b tau holds to rounding at every iterate,
-    # and the multipliers are the least-squares solution of the dual equation.
-    Q, R_G = scipy.linalg.qr(ws.G.T)
-    B = Q[:, p:]
-    m = N - p
-    pinv_t = scipy.linalg.solve_triangular(R_G[:p], Q[:, :p].T)     # (G^+)^T
+    # Every equality row is eliminated exactly: y starts at y0 with G y0 = b
+    # and tau = 1, every step is dy = B z + dtau y0, so G y = b tau holds to
+    # rounding at every iterate, and the multipliers are the least-squares
+    # solution of the dual equation.
+    B, pinv_t = _equality_factors(ws, problem.eq_factors)
+    m = B.shape[1]
     y0 = pinv_t.T @ ws.b                                            # G y0 = b
     Btc = B.T @ ws.c
     # contiguous, so that the batched products below run as BLAS calls
@@ -577,7 +640,7 @@ def solve(problem, options=None):
         dy_t += y0
         denom = ws.c @ dy_t - b_dmu_t - kappa / tau
 
-        def directions(t2, t3, t4, E, t6, out):
+        def directions(t2, t3, t4, E, t6, out, scaled_only=False):
             """Solve the linearized step equations for general targets.
 
             G dy - b dtau = 0;  mat_j(dy) - dS_j = t2_j;
@@ -587,7 +650,8 @@ def solve(problem, options=None):
             only b.dmu = y0.(t3 + dtau c - adj(dZ)) enters.  Returns dy, dS,
             dZ, dtau, dkappa and the scaled directions Ds = Rinv dS Rinv^T and
             Dz = R^T dZ R of each block.  Ds, Dz, dS and dZ are written into
-            the buffers ``out``.
+            the buffers ``out``.  With ``scaled_only`` it stops once Ds and Dz
+            are formed, and returns dtau, dkappa, Ds and Dz.
             """
             Ds, Dz, dS, dZ = out
             np.add(congruence(Rs, E, Rts), t2, out=F.x)
@@ -600,6 +664,8 @@ def solve(problem, options=None):
             np.subtract(F.x, mats_dy, out=F.x)
             cone.sym(congruence(Rinvs, F, Rinvts), out=Dz.x)
             np.subtract(E.x, Dz.x, out=Ds.x)
+            if scaled_only:
+                return dtau, dkappa, Ds.x, Dz.x
             cone.sym(congruence(Rinvts, Dz, Rinvs), out=dZ.x)
             cone.sym(mats_dy - t2, out=dS.x)
             return [dy, dS.x, dZ.x, dtau, dkappa, Ds.x, Dz.x]
@@ -623,8 +689,8 @@ def solve(problem, options=None):
             corr = directions(e2, e3, e4, E, e6, spare)
             return [a + b for a, b in zip(dirs, corr)]
 
-        def max_step(Ds, Dz, dtau, dkappa):
-            a = _scaled_step(cone, hh, Ds, Dz)
+        def max_step(a, dtau, dkappa):
+            """The cone's step a, shortened to keep tau and kappa nonnegative."""
             if dtau < 0.0:
                 a = min(a, tau / (-dtau))
             if dkappa < 0.0:
@@ -633,26 +699,26 @@ def solve(problem, options=None):
 
         t2, t3, t4 = -Rh, -rd, -rg
 
-        # predictor
+        # predictor: E_j = -diag(sig), so its step and its gap follow from the
+        # scaled directions alone
         E.x.fill(0.0)
         E.x[cone.diag] = -sig
-        aff = directions(t2, t3, t4, E, -tau * kappa, slots[0])
-        a_aff = min(1.0, max_step(aff[5], aff[6], aff[3], aff[4]))
-        gap_aff = cone.block_sums((S + a_aff * aff[1]) * (Z + a_aff * aff[2]))
-        gap_aff += (tau + a_aff * aff[3]) * (kappa + a_aff * aff[4])
+        dtau_a, dkappa_a, Ds_a, Dz_a = directions(t2, t3, t4, E, -tau * kappa, slots[0],
+                                                  scaled_only=True)
+        a_aff = min(1.0, max_step(_predictor_step(cone, hh, Dz_a), dtau_a, dkappa_a))
+        gap_aff = _predictor_gap(sig, Ds_a, Dz_a, a_aff) + \
+            (tau + a_aff * dtau_a) * (kappa + a_aff * dkappa_a)
         sigma = float(np.clip((max(gap_aff, 0.0) / (nu * nu_den)) ** 3, 1e-8, 0.999))
 
         # corrector: E_j = 2 (sigma nu I - diag(sig)^2 - (Ds Dz + Dz Ds) / 2)
-        # divided cellwise by sig_i + sig_l
+        # divided cellwise by sig_i + sig_l, where Dz Ds = (Ds Dz)^T
         D = sigma * nu * cone.eye
         D[cone.diag] -= sig ** 2
-        Ds_aff, Dz_aff = slots[0][0].blocks, slots[0][1].blocks
-        for Dsj, Dzj, Pj, Qj in zip(Ds_aff, Dz_aff, cong[0].blocks, cong[1].blocks):
+        for Dsj, Dzj, Pj in zip(slots[0][0].blocks, slots[0][1].blocks, cong[0].blocks):
             np.matmul(Dsj, Dzj, out=Pj)
-            np.matmul(Dzj, Dsj, out=Qj)
-        np.divide(2.0 * (D - (cong[0].x + cong[1].x) / 2.0), sig[cone.row] + sig[cone.col],
-                  out=E.x)
-        d_tk = sigma * nu - tau * kappa - aff[3] * aff[4]
+        np.divide(2.0 * (D - cone.sym(cong[0].x, out=cong[0].x)),
+                  sig[cone.row] + sig[cone.col], out=E.x)
+        d_tk = sigma * nu - tau * kappa - dtau_a * dkappa_a
         dirs = directions(t2, t3, t4, E, d_tk, slots[1])
         if merit < 1e-3 or nu < 1e-4:
             # cancellation in direction recovery only matters near the end
@@ -660,7 +726,7 @@ def solve(problem, options=None):
             dirs = refine(dirs, slots[1], slots[0], t2, t3, t4, E, d_tk)
         dy, dS, dZ, dtau, dkappa, Ds, Dz = dirs
 
-        alpha = STEP_FRAC * max_step(Ds, Dz, dtau, dkappa)
+        alpha = STEP_FRAC * max_step(_scaled_step(cone, hh, Ds, Dz), dtau, dkappa)
         alpha = min(alpha, 1.0)
         if not np.isfinite(alpha) or alpha <= 0.0:
             break

@@ -1,10 +1,12 @@
 import gc
 import itertools
+import sys
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import fixtures
 from tensorspectra.driver import (EigenSystem, Eigenpair, StepResult, SweepOptions,
@@ -428,14 +430,80 @@ def test_relaxation_blocks_released_after_sweep():
 
     def spy(problem, options):
         refs.extend(weakref.ref(blk) for blk in problem.blocks)
-        return solve(problem, options)
+        sol = solve(problem, options)
+        # the equality factors that the sweep's relaxations of one order share
+        refs.extend(weakref.ref(a) for a in problem.eq_factors.values())
+        return sol
 
     A = Tensor(np.random.default_rng(7).standard_normal((2, 2, 2, 2)))
     spec = full_sweep("Z", A, SweepOptions(solver=spy))
     assert spec.counters["sdp_solves"] > 0
     gc.collect()
     alive = sum(ref() is not None for ref in refs)
-    assert refs and alive == 0, f"{alive} of {len(refs)} blocks still alive"
+    assert refs and alive == 0, f"{alive} of {len(refs)} blocks and factors still alive"
+
+
+def test_one_equality_qr_per_system_of_a_sweep(monkeypatch):
+    # every relaxation of one order and sign invariance shares its equality
+    # system, and the solver factors each system the sweep builds once
+    qr = scipy.linalg.qr
+    factored = []
+
+    def counting_qr(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "tensorspectra.sdpsolver":
+            factored.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    systems, solved = set(), []
+
+    def spy(problem, options):
+        solved.append(problem.farkas_mu is None)
+        if problem.farkas_mu is None:      # else nothing is factored
+            systems.add((problem.eq_rows.shape, problem.eq_rows.tobytes()))
+        return solve(problem, options)
+
+    monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+    spec = full_sweep("Z", fixtures.ex56(), SweepOptions(solver=spy))
+    assert spec.termination == Termination.CERTIFIED_COMPLETE
+    assert sum(solved) > len(systems) > 1
+    assert len(factored) == len(systems)
+
+
+@pytest.mark.parametrize("write", [
+    lambda problem: problem.eq_rhs.__setitem__(slice(1, None), 1.0),
+    lambda problem: problem.eq_rows.__setitem__(slice(1, None), 0.0),
+    lambda problem: problem.blocks[0].matrix.data.__setitem__(slice(None), 0.0),
+], ids=["eq_rhs", "eq_rows", "moment-block"])
+def test_a_solver_hook_cannot_write_into_shared_relaxation_data(write):
+    # every later relaxation of an order reads the arrays its store shares.
+    # A hook that wrote eq_rhs[1:] = 1 after its first solve once ended this
+    # sweep certified-complete without 0.26696, and one that zeroed
+    # eq_rows[1:] raised LinAlgError out of full_sweep.  Each write now fails
+    # in the hook itself, and a hook that swallows the failure changes
+    # nothing the sweep reports
+    A = Tensor(np.random.default_rng(3).standard_normal((2, 2, 2, 2)))
+    clean = full_sweep("Z", A)
+    assert clean.termination == Termination.CERTIFIED_COMPLETE
+    assert clean.values == pytest.approx([-0.15462271, 0.26695706], abs=1e-7)
+
+    def writing(problem, options):
+        sol = solve(problem, options)
+        write(problem)
+        return sol
+
+    with pytest.raises(ValueError, match="read-only"):
+        full_sweep("Z", A, SweepOptions(solver=writing))
+
+    def swallowing(problem, options):
+        sol = solve(problem, options)
+        with pytest.raises(ValueError, match="read-only"):
+            write(problem)
+        return sol
+
+    spec = full_sweep("Z", A, SweepOptions(solver=swallowing))
+    assert spec.termination == clean.termination
+    assert spec.values == clean.values
+    assert spec.counters == clean.counters
 
 
 @pytest.mark.parametrize("bad", [

@@ -626,3 +626,62 @@ def test_split_refuses_a_block_with_cross_parity_moments():
     with pytest.raises(ValueError, match="cross-parity"):
         _parity_parts(moment_structure(3, 4))
     assert len(_parity_parts(moment_structure(3, 4, _even_positions(3, 4)))) == 2
+
+
+def _shared_arrays(prob):
+    """The arrays of a relaxation that its store shares with every other
+    relaxation of its order: the equality system and the moment parts."""
+    arrays = [prob.eq_rows, prob.eq_rhs]
+    if prob.farkas_mu is not None:
+        arrays.append(prob.farkas_mu)
+    moment_parts = prob.blocks[:2 if prob.blocks[0].rows is not None else 1]
+    for s in moment_parts:
+        arrays += [s.matrix.data, s.matrix.indices, s.matrix.indptr]
+    return arrays
+
+
+def test_store_shares_read_only_arrays_and_no_product_writes_them():
+    # ex56 H at k = 6, shifted: the moment block as parity parts of 50 and
+    # 34.  A second relaxation of the order reads the same arrays, so none
+    # may be written; without a store every array is the relaxation's own
+    f, hs, _m0 = h_system(fixtures.ex56())
+    store = {}
+    prob = build_min_relaxation(f, hs, [f - 0.05], 6, store)
+    other = build_max_relaxation(f, hs, [f, 1.0 - f], 6, store)
+    assert [blk.side for blk in prob.blocks[:2]] == [50, 34]
+    for a, b in zip(_shared_arrays(prob), _shared_arrays(other)):
+        assert a is b and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[:1] = 0
+    own = build_min_relaxation(f, hs, [f - 0.05], 6)
+    assert all(a.flags.writeable for a in _shared_arrays(own))
+    # the products the build and the solver run on a shared block leave
+    # every one of its arrays as it was
+    before = [a.copy() for a in _shared_arrays(prob)]
+    rng = np.random.default_rng(2)
+    B = np.asfortranarray(rng.standard_normal((prob.num_vars, 7)))
+    for blk in prob.blocks[:2]:
+        mat = blk.matrix
+        X = rng.standard_normal(blk.side * blk.side)
+        assert np.allclose(mat @ B, mat.toarray() @ B)
+        assert np.allclose(mat.T @ X, mat.toarray().T @ X)
+        assert np.allclose(mat @ B[:, 0], mat.toarray() @ B[:, 0])
+        assert mat[:3].shape == (3, prob.num_vars) and abs(mat).sum() > 0
+    assert solve(prob).status is SolveStatus.OPTIMAL
+    assert all(np.array_equal(a, b) for a, b in zip(_shared_arrays(prob), before))
+
+
+def test_moment_bound_is_computed_once_per_store(monkeypatch):
+    calls = []
+
+    def counting(eqs):
+        calls.append(eqs)
+        return 1.0
+
+    monkeypatch.setattr(momentsdp, "_moment_bound", counting)
+    f, hs = z_system(fixtures.ex51())
+    store = {}
+    for k in (3, 4, 5):
+        assert build_min_relaxation(f, hs, [], k, store).moment_bound == 1.0
+        assert build_max_relaxation(f, hs, [f], k, store).moment_bound == 1.0
+    assert len(calls) == 1

@@ -16,8 +16,9 @@ from tensorspectra.momentsdp import (ConicProblem, LocalizingStructure,
 from tensorspectra.oracle import brute_z_n2
 from tensorspectra.poly import Polynomial
 from tensorspectra.sdpsolver import (EPS_FEAS, EPS_GAP, SolveStatus, SolverOptions, _Cone,
-                                     _nt_scaling, _scaled_step, _schur, _Workspace,
-                                     solve, verify_solution)
+                                     _nt_scaling, _predictor_gap, _predictor_step,
+                                     _scaled_step, _schur, _Workspace, solve,
+                                     verify_solution)
 from tensorspectra.tensor import Tensor
 
 
@@ -372,6 +373,46 @@ def test_scaled_step_matches_cholesky_reference(q):
         hh = _scaling_hh(cone, np.concatenate(sigs))
         got = _scaled_step(cone, hh, cone.sym(cone.flatten(Ds)), cone.sym(cone.flatten(Dz)))
         assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("q", [1, 3, 8])
+def test_predictor_step_and_gap_match_unscaled_references(q):
+    # the predictor's E is -diag(sig) and its Ds is E - Dz: the step from
+    # hh Dz alone is _scaled_step's on both sides, and the gap from
+    # sig.sig and <Ds, Dz> is <S + a dS, Z + a dZ> with dS = R Ds R^T and
+    # dZ = Rinv^T Dz Rinv, at the step's own length and below it
+    rng = np.random.default_rng(q + 10)
+    cone = _Cone([q, 3])
+    for _ in range(20):
+        pairs = []
+        for side in cone.sides:
+            A, C = rng.standard_normal((2, side, side))
+            S = A @ A.T + 0.1 * np.eye(side)
+            Z = C @ C.T + 0.1 * np.eye(side)
+            pairs.append((S, Z, *_nt_scaling(S, Z)))
+        Dz = cone.sym(rng.standard_normal(cone.size))
+        sig = np.concatenate([p[4] for p in pairs])
+        hh = _scaling_hh(cone, sig)
+        E = np.zeros(cone.size)
+        E[cone.diag] = -sig
+        Ds = E - Dz
+        step = _predictor_step(cone, hh, Dz)
+        assert step == pytest.approx(_scaled_step(cone, hh, Ds, Dz), rel=1e-12)
+        for a in (min(1.0, step), rng.uniform(0.0, min(1.0, step))):
+            want = 0.0
+            for (S, Z, R, Rinv, _sig), Dsj, Dzj in zip(pairs, cone.views(Ds),
+                                                      cone.views(Dz)):
+                dS, dZ = R @ Dsj @ R.T, Rinv.T @ Dzj @ Rinv
+                want += np.sum((S + a * dS) * (Z + a * dZ))
+            assert _predictor_gap(sig, Ds, Dz, a) == pytest.approx(want, rel=1e-12)
+
+
+def test_non_finite_predictor_direction_gets_no_step():
+    cone = _Cone([2, 3])
+    hh = _scaling_hh(cone, np.ones(cone.dim))
+    for Dz in (cone.flatten([np.eye(2), _nan_at(np.eye(3), 0)]),
+               cone.flatten([np.full((2, 2), np.inf), np.eye(3)])):
+        assert _predictor_step(cone, hh, Dz) == 0.0
 
 
 def _nan_at(D, i):
