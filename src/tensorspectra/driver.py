@@ -25,14 +25,22 @@ that the result's duals prove (verify_solution's ``bound``), so every
 value the sweep compares holds for the exact relaxation, up to the
 margin stated in :mod:`sdpsolver`.
 
-Once the check passes at order k, the shifted minimization over the gap
-starts at order k or above: below it, that relaxation tends to return the
-gap's boundary value lam_i + delta and escalate anyway.  Backward checks
-keep their own start order, one below the last order that passed.
-Starting each at the order that passed would save about a tenth of the
-solves on every benchmark workload, but it moves ex53 Z and ex54(4) Z
-onto relaxations with N >= 150 (per round, 5 -> 12 and 5 -> 7 such
-solves), so the Z fixtures would take longer.
+Each family of hierarchies, the minimizations and the backward checks,
+starts where the last one of its family succeeded.  When that one
+solved lower orders before it succeeded at order k, the next starts at
+k; when the first order it tried succeeded, the next probes one order
+lower, max(k0, k - 1).  The first backward check starts at the order
+that found the smallest eigenvalue.  Once a check passes at order k, the
+shifted minimization over the gap starts at order k or above: below it,
+that relaxation tends to return the gap's boundary value lam_i + delta
+and escalate anyway.  Against starting every hierarchy one order below
+its last success and every first check at k0, this takes 446 solves in
+place of 501 on the Z fixtures, 172 of 196 on the H fixtures and 1208 of
+1352 on random n = 2 tensors (the benchmark's 237 sweeps), with the
+same outputs; a random m = 4, n = 4 H tensor takes 18 solves in place
+of 22.  Never probing lower saves more on small tensors, but that H
+sweep then solves 10 relaxations with N = 1036 in place of 6 and takes
+a third longer.
 
 Every H system and every even-order Z system is unchanged under u -> -u,
 so its relaxations are built over the even-degree moments only, with
@@ -334,8 +342,9 @@ class _Driver:
         self.sdp_solves = 0
         self.ipm_iterations = 0
         self.base_ineqs = [system.f] if opts.nonneg else []
-        # relaxation order that last certified, per problem family; later
-        # steps start there (an infeasible or flat order stays so upward)
+        # order at which the next hierarchy of each family ("min", "max")
+        # starts (_succeeded); the first backward check starts where the
+        # smallest eigenvalue was found
         self._warm = {}
         # per-order parts shared by this sweep's relaxations (build_min_relaxation)
         self._relaxations = {}
@@ -343,20 +352,19 @@ class _Driver:
     def _record(self, **kw):
         self.log.append(kw)
 
-    def _orders(self, family, build, ineqs, phase, delta=None):
+    def _orders(self, first, build, ineqs, phase, delta=None):
         """Solve one family's relaxations order by order; yield the verified ones.
 
-        The orders run from the family's warm start ("min" or "max") to
-        k0 + kmax_offset.  One gate decides what a caller may read: a
-        result, whatever its status, only once verify_solution passes it.
+        The orders run from ``first`` (:meth:`_first`) to k0 + kmax_offset.
+        One gate decides what a caller may read: a result, whatever its
+        status, only once verify_solution passes it.
         Yields (k, problem, solution, report, value): report is
         verify_solution's, value the bound on the relaxation's optimum
         that the result's duals prove, in the relaxation's own sense (None
         when infeasible).
         """
         sys_, opts = self.system, self.opts
-        kmax = sys_.k0 + opts.kmax_offset
-        for k in range(min(self._warm.get(family, sys_.k0), kmax), kmax + 1):
+        for k in range(first, sys_.k0 + opts.kmax_offset + 1):
             prob = build(sys_.f, sys_.h, ineqs, k, store=self._relaxations)
             # the check's read-only copy of the problem, made before the
             # solver hook can write into the problem's arrays
@@ -381,6 +389,19 @@ class _Driver:
                              note=f"unverified {report['status']} result ignored")
                 continue
             yield k, prob, sol, report, value
+
+    def _first(self, family):
+        """The order at which the family's next hierarchy starts."""
+        sys_ = self.system
+        return min(self._warm.get(family, sys_.k0), sys_.k0 + self.opts.kmax_offset)
+
+    def _succeeded(self, family, first, k):
+        """Move the family's start after a hierarchy from ``first`` succeeded at k.
+
+        When lower orders failed on the way, the next hierarchy starts at
+        k; when the first order tried succeeded, it probes one order lower.
+        """
+        self._warm[family] = k if k > first else max(self.system.k0, k - 1)
 
     def _atoms(self, prob, sol, k, ineqs):
         """Verified eigenpairs extracted from a verified solution, or None.
@@ -417,8 +438,9 @@ class _Driver:
         ``infeasible`` and a certificate, or "unresolved".
         """
         ineqs = self.base_ineqs + extra_ineqs
+        first = self._first("min")
         for k, prob, sol, report, value in self._orders(
-                "min", build_min_relaxation, ineqs, phase, delta):
+                first, build_min_relaxation, ineqs, phase, delta):
             if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
                 return StepResult(
                     outcome=infeasible, reason=f"{phase} relaxation infeasible at k={k}",
@@ -426,7 +448,8 @@ class _Driver:
             pair = self._accept_atoms(self._atoms(prob, sol, k, ineqs), k, value)
             if pair is None:
                 continue
-            self._warm["min"] = max(self.system.k0, k - 1)
+            self._succeeded("min", first, k)
+            self._warm.setdefault("max", k)
             return StepResult(outcome="found", pair=pair)
         return StepResult(outcome="unresolved",
                           reason="no flat truncation or certificate within order budget")
@@ -447,8 +470,9 @@ class _Driver:
         thresh = min(self.opts.eps_eq, 0.5 * delta)
         ineqs = self.base_ineqs + [Polynomial.constant(sys_.n, lam_i + delta) - sys_.f]
         best = None
+        first = self._first("max")
         for k, prob, sol, report, value in self._orders(
-                "max", build_max_relaxation, ineqs, "backward-max", delta):
+                first, build_max_relaxation, ineqs, "backward-max", delta):
             if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
                 # cannot happen below a cap above a true eigenvalue
                 self._record(phase="backward-max", k=k,
@@ -456,9 +480,9 @@ class _Driver:
                 continue
             best = value if best is None else min(best, value)
             if value <= lam_i + thresh:
-                # the next check starts one order lower; the shifted
-                # minimization over this gap no lower than k (module docstring)
-                self._warm["max"] = max(sys_.k0, k - 1)
+                # the shifted minimization over this gap starts no lower
+                # than k (module docstring)
+                self._succeeded("max", first, k)
                 self._warm["min"] = max(self._warm.get("min", sys_.k0), k)
                 return True, value, False
             atoms = self._atoms(prob, sol, k, ineqs)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .poly import basis_size, exponents, moment_index_table, positions
 
@@ -51,7 +52,11 @@ def numerical_rank(M, tau_rank):
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0
-    s = scipy.linalg.svdvals(M)
+    if not np.isfinite(M).all():
+        raise ValueError("M must be finite")
+    _u, s, _vt, info = lapack.dgesdd(M, compute_uv=0)
+    if info != 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
     thresh = tau_rank * max(s[0], RANK_FLOOR)
     return int(np.sum(s > thresh))
 

@@ -92,9 +92,10 @@ read their inputs from, and write their results into, flat buffers whose
 block views are made once per solve.  Per-block maxima come from
 ``np.maximum.reduceat``, which is exact, and per-block sums from
 ``np.sum`` over each block's span, so every iterate is bit for bit that
-of a loop over separate block matrices.  The NT factors and the step
-lengths call LAPACK (potrf, gesdd, syevd) directly, without the
-``np.linalg`` wrappers.
+of a loop over separate block matrices.  The NT factors, the step
+lengths, the ray test and the eigenvalues that :func:`verify_solution`
+reads call LAPACK (potrf, gesdd, syevd) directly, without the
+``np.linalg`` and ``scipy.linalg`` wrappers and their per-call checks.
 
 A solve that ends without converging returns its best iterate, with
 ``iterations`` the steps it ran and ``best_iteration`` the step count at
@@ -274,6 +275,16 @@ def _eigenvalue_range(cone, M):
             return None
         lo, hi = min(lo, w[0]), max(hi, w[-1])
     return lo, hi
+
+
+def _least_eigenvalue(M):
+    """The least eigenvalue of the symmetric M, read from its lower triangle;
+    -inf, which passes no PSD test, when M is not finite or LAPACK cannot
+    compute it."""
+    if not np.isfinite(M).all():
+        return -np.inf
+    w, _v, info = lapack.dsyevd(M, compute_v=0, lower=1)
+    return float(w[0]) if info == 0 else -np.inf
 
 
 def _boundary_step(lam):
@@ -576,7 +587,7 @@ def solve(problem, options=None):
             ray = y / (-cy)
             ray_scale = max(1.0, np.max(np.abs(ray)))
             ray_eq = np.max(np.abs(ws.G @ ray))
-            ray_psd = min(scipy.linalg.eigvalsh(M)[0] for M in cone.views(ws.apply(ray)))
+            ray_psd = min(_least_eigenvalue(M) for M in cone.views(ws.apply(ray)))
             if ray_eq <= EPS_FEAS * ws.opscale * ray_scale and \
                     ray_psd >= -EPS_FEAS * ray_scale:
                 return ConicSolution(status=SolveStatus.DUAL_INFEASIBLE,
@@ -846,7 +857,7 @@ def _slack(ws, mu, Z, c=0.0):
     total = np.sum(np.abs(r)) + rounding
     for s, Zj in zip(ws.entry_spans, cone.views(cone.sym(Z))):
         diagonal = np.sum(np.abs(ws.data[s][on_diagonal[s]]))
-        total += max(0.0, -scipy.linalg.eigvalsh(Zj)[0]) * diagonal
+        total += max(0.0, -_least_eigenvalue(Zj)) * diagonal
     Y = ws.moment_bound + MOMENT_MARGIN
     return float(Y * total), float(Y * rounding)
 
@@ -860,7 +871,7 @@ def _verify_pair(ws, y, mu, Z, checks, report):
     eq_res = float(np.max(np.abs(ws.G @ y - ws.b))) if ws.p else 0.0
     checks["equalities"] = bool(eq_res <= VERIFY_FEAS * ws.normb)
     report["eq_residual"] = eq_res
-    min_eigs = [float(scipy.linalg.eigvalsh(M)[0]) for M in ws.cone.views(mats)]
+    min_eigs = [_least_eigenvalue(M) for M in ws.cone.views(mats)]
     report["block_min_eigs"] = min_eigs
     checks["psd"] = all(e >= -VERIFY_PSD for e in min_eigs)
     report["bound"] = float(ws.sign * (ws.b @ mu - _slack(ws, mu, Z, ws.c)[0]))

@@ -212,10 +212,10 @@ def test_continuum_checks_never_pass_on_atoms_below_the_optimum():
 
 @pytest.mark.parametrize("kind, make, values, solves", [
     ("Z", fixtures.ex56, [1.70701285567669e-08, 0.00020624208719176345,
-                          0.4571724209083913], 12),
+                          0.4571724209083913], 10),
     ("H", fixtures.ex52, [1.3585945810150037, 1.4984689230852597,
-                          1.522550320217081, 4.730306524131185], 14),
-])
+                          1.522550320217081, 4.730306524131185], 13),
+], ids=["ex56-Z", "ex52-H"])
 def test_shifted_minimization_starts_at_the_passing_check_order(kind, make, values,
                                                                  solves):
     # below the order of the passed backward check, the shifted relaxation
@@ -235,6 +235,67 @@ def test_shifted_minimization_starts_at_the_passing_check_order(kind, make, valu
             assert check_passed and e["k"] >= check_k
             shifted += 1
     assert shifted
+
+
+def _hierarchies(log):
+    """Each relaxation hierarchy of a sweep's log, in the order solved.
+
+    A hierarchy is a dict: ``family`` ("min" or "max"), ``orders`` (the
+    orders solved) and, for a backward check, ``passed`` and ``atoms``.
+    """
+    out = []
+    for e in log:
+        if "status" in e:
+            family = "max" if e["phase"] == "backward-max" else "min"
+            if not out or "passed" in out[-1] or out[-1]["family"] != family:
+                out.append({"family": family, "orders": []})
+            out[-1]["orders"].append(e["k"])
+        elif e.get("phase") == "backward-check":
+            out[-1].update(passed=e["passed"], atoms=e["atoms"])
+    return out
+
+
+def _start_rules_seen(kind, A):
+    """Check every hierarchy's first order against the start rules.
+
+    A hierarchy that succeeds at order k after solving lower orders sends
+    the next one of its family to k; one that succeeds at the first order
+    tried sends it to max(k0, k - 1).  The first backward check starts at
+    the order that found the smallest eigenvalue, a check that fails on an
+    eigenvalue inside the gap sends the next one to the order that saw
+    it, and a shifted minimization starts no lower than its passed check.
+    Returns the rules the sweep exercised.
+    """
+    spec = full_sweep(kind, A)
+    k0 = EigenSystem(kind, A).k0
+    kmax = k0 + SweepOptions().kmax_offset
+    hierarchies = _hierarchies(spec.log)
+    start, seen = {"min": k0}, set()
+    for h, after in zip(hierarchies, hierarchies[1:] + [None]):
+        family, first, k = h["family"], h["orders"][0], h["orders"][-1]
+        assert first == min(start[family], kmax), (h, start)
+        if family == "min" and after is not None:
+            start["min"] = k if k > first else max(k0, k - 1)
+            if "max" not in start:
+                start["max"] = k
+                seen.add("first check at the smallest's order")
+        elif h.get("passed"):
+            start["max"] = k if k > first else max(k0, k - 1)
+            start["min"] = max(start["min"], k)
+        elif h.get("atoms"):
+            start["max"] = k
+        if after is not None and (family == "min" or h.get("passed")):
+            seen.add(f"{family}: " + ("lower orders failed" if k > first
+                                      else "first order succeeded"))
+    return seen
+
+
+def test_hierarchies_start_where_they_last_succeeded():
+    for kind, A in [("Z", fixtures.ex56()), ("H", fixtures.random_tensor(4, 2, seed=7))]:
+        assert _start_rules_seen(kind, A) == {
+            "first check at the smallest's order",
+            "min: lower orders failed", "min: first order succeeded",
+            "max: lower orders failed", "max: first order succeeded"}
 
 
 def test_full_sweep_ex51_z():
@@ -397,6 +458,7 @@ def _assert_sweep_matches_newton(kind, A, nonneg=False):
     missed = [v for v in newton if min((abs(v - w) for w in spec.values), default=1) > 1e-6]
     unmatched = [w for w in spec.values if min((abs(w - v) for v in newton), default=1) > 1e-6]
     assert not missed and not unmatched, f"missed {missed}, unmatched {unmatched}"
+    return spec
 
 
 @pytest.mark.parametrize("kind,seed", [("Z", 40000), ("H", 41002)])
@@ -406,8 +468,9 @@ def test_sweep_matches_newton_enumeration_n3(kind, seed):
 
 
 def test_sweep_matches_newton_enumeration_n4():
-    _assert_sweep_matches_newton(
+    spec = _assert_sweep_matches_newton(
         "Z", Tensor(np.random.default_rng((4, 4, 5)).standard_normal((4,) * 4)))
+    assert spec.counters["sdp_solves"] <= 13
 
 
 _GAP_THRESH = pytest.mark.xfail(
