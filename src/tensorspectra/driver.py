@@ -33,14 +33,27 @@ lower, max(k0, k - 1).  The first backward check starts at the order
 that found the smallest eigenvalue.  Once a check passes at order k, the
 shifted minimization over the gap starts at order k or above: below it,
 that relaxation tends to return the gap's boundary value lam_i + delta
-and escalate anyway.  Against starting every hierarchy one order below
-its last success and every first check at k0, this takes 446 solves in
-place of 501 on the Z fixtures, 172 of 196 on the H fixtures and 1208 of
-1352 on random n = 2 tensors (the benchmark's 237 sweeps), with the
-same outputs; a random m = 4, n = 4 H tensor takes 18 solves in place
-of 22.  Never probing lower saves more on small tensors, but that H
-sweep then solves 10 relaxations with N = 1036 in place of 6 and takes
-a third longer.
+and escalate anyway.
+
+The smallest-eigenvalue hierarchy starts at k0, or at k0 + 1 when the
+system is sign-invariant (:func:`momentsdp.sign_invariant`, and below)
+and the order budget reaches it; the skipped k0 counts as a failed
+order.  At order k0, flat truncation needs rank M_k0(y) = rank M_0(y)
+= 1.  The lifted y has every odd moment at zero, and a rank-one moment
+matrix with zero first moments is the origin's, whose moments break
+sum_i x_i^m0 = 1: no feasible y flattens at k0 (a numerical rank-one
+reading extracts the point 0, which normalization rejects).  That solve
+can only prove that no eigenvalue exists, and the relaxations are
+nested, so order k0 + 1 proves it too.
+
+Against starting every hierarchy one order below its last success and
+every first check at k0, these rules take 426 solves in place of 501 on
+the Z fixtures, 154 of 196 on the H fixtures and 1096 of 1352 on random
+n = 2 tensors (the benchmark's 237 sweeps; 446, 172 and 1208 with the
+smallest-eigenvalue hierarchy at k0), with the same outputs; a random
+m = 4, n = 4 H tensor takes 17 solves in place of 22.  Never probing
+lower saves more on small tensors, but that H sweep then solves 10
+relaxations with N = 1036 in place of 6 and takes a third longer.
 
 Every H system and every even-order Z system is unchanged under u -> -u,
 so its relaxations are built over the even-degree moments only, with
@@ -69,7 +82,7 @@ import numpy as np
 
 from . import sdpsolver
 from .extract import ExtractionError, extract_atoms, flat_truncation
-from .momentsdp import build_max_relaxation, build_min_relaxation
+from .momentsdp import build_max_relaxation, build_min_relaxation, sign_invariant
 from .poly import Polynomial, tensor_to_poly_vector
 from .sdpsolver import SolveStatus, SolverOptions, verify_solution
 from .tensor import contract_partial
@@ -431,14 +444,17 @@ class _Driver:
             return self._verified_atoms(measure.points, k, ineqs)
         return None
 
-    def _min_hierarchy(self, extra_ineqs, phase, infeasible, delta=None):
+    def _min_hierarchy(self, extra_ineqs, phase, infeasible, delta=None, skip=0):
         """Escalate the minimization relaxation until certified or exhausted.
 
-        The step ends "found" with an eigenpair, with the outcome
-        ``infeasible`` and a certificate, or "unresolved".
+        The hierarchy starts ``skip`` orders above the family's start, within
+        the order budget; each order skipped counts as a failed one.  The
+        step ends "found" with an eigenpair, with the outcome ``infeasible``
+        and a certificate, or "unresolved".
         """
         ineqs = self.base_ineqs + extra_ineqs
-        first = self._first("min")
+        start = self._first("min")
+        first = min(start + skip, self.system.k0 + self.opts.kmax_offset)
         for k, prob, sol, report, value in self._orders(
                 first, build_min_relaxation, ineqs, phase, delta):
             if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
@@ -448,7 +464,7 @@ class _Driver:
             pair = self._accept_atoms(self._atoms(prob, sol, k, ineqs), k, value)
             if pair is None:
                 continue
-            self._succeeded("min", first, k)
+            self._succeeded("min", start, k)
             self._warm.setdefault("max", k)
             return StepResult(outcome="found", pair=pair)
         return StepResult(outcome="unresolved",
@@ -567,7 +583,11 @@ class _Driver:
                          isolated=isolated, order_used=k)
 
     def smallest(self):
-        return self._min_hierarchy([], "smallest-min", "no-eigenvalue")
+        # no moment vector of a sign-invariant system flattens at order k0
+        # (module docstring)
+        sys_ = self.system
+        skip = int(sign_invariant(sys_.f, sys_.h, self.base_ineqs))
+        return self._min_hierarchy([], "smallest-min", "no-eigenvalue", skip=skip)
 
     def next_after(self, lam_i):
         opts = self.opts

@@ -287,6 +287,16 @@ def _parity(p):
     return parities.pop() if parities else 0
 
 
+def sign_invariant(f, eqs, ineqs):
+    """Whether minimizing f over {eqs = 0, ineqs >= 0} is unchanged under u -> -u.
+
+    True when f and every inequality have only terms of even degree and
+    every equality has terms of one degree parity (module docstring).
+    """
+    return _parity(f) == 0 and all(_parity(g) == 0 for g in ineqs) and \
+        all(_parity(h) is not None for h in eqs)
+
+
 def _even_moments(n, k):
     """Positions of the moments of even degree <= 2k in the graded order."""
     return np.flatnonzero(exponents(n, 2 * k).sum(axis=1) % 2 == 0)
@@ -332,8 +342,7 @@ def _build_relaxation(f, eqs, ineqs, k, maximize, store, reduce=True):
             raise ValueError("all polynomials must share the variable count")
         if g.degree > 2 * k:
             raise ValueError(f"constraint degree {g.degree} exceeds 2k = {2 * k}")
-    invariant = reduce and _parity(f) == 0 and \
-        all(_parity(g) == 0 for g in ineqs) and all(_parity(h) is not None for h in eqs)
+    invariant = reduce and sign_invariant(f, eqs, ineqs)
     support = _even_moments(n, k) if invariant else None
     c = f.coefficient_vector(2 * k)
     if invariant:

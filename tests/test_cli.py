@@ -224,7 +224,9 @@ def test_dump_sdp_at_an_existing_file_exit2(ex51_file, tmp_path, capsys, monkeyp
 
 def test_dump_sdp_tags_parity_parts(tmp_path, capsys):
     # ex54(4) H: the moment block of side 35 at k = 3 enters as its even and
-    # odd parts (11 and 24 rows); the smaller blocks stay whole
+    # odd parts (11 and 24 rows); the smaller blocks, such as the k = 2
+    # moment block of side 15 and a cap's localizing block of side 5, stay
+    # whole
     path = tmp_path / "ex54.tsr"
     path.write_text(serialize_tensor(fixtures.ex54(4)))
     dump_dir = tmp_path / "dumps"
@@ -235,7 +237,7 @@ def test_dump_sdp_tags_parity_parts(tmp_path, capsys):
         text = (dump_dir / name).read_text()
         lines.update(line for line in text.splitlines() if line.startswith("blocks "))
     assert "blocks 11:even 24:odd 15" in lines
-    assert "blocks 15" in lines
+    assert "blocks 15 5" in lines
 
 
 def test_parser_rejects_unknown_mode():

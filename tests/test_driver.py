@@ -13,6 +13,8 @@ from tensorspectra.driver import (EigenSystem, Eigenpair, StepResult, SweepOptio
                                   Termination, _Driver, check_isolated, full_sweep,
                                   h_count_bound, h_system, next_eigenvalue,
                                   polish_eigenpair, smallest_eigenvalue, z_system)
+from tensorspectra.extract import ExtractionError, extract_atoms, flat_truncation
+from tensorspectra.momentsdp import build_min_relaxation, sign_invariant
 from tensorspectra.poly import Polynomial, tensor_to_poly
 from tensorspectra.sdpsolver import (MOMENT_MARGIN, SolveStatus, SolverOptions, solve,
                                      verify_solution)
@@ -190,7 +192,7 @@ def test_gap_placed_below_eigenvalue_the_backward_check_found():
     assert spec.termination == Termination.CERTIFIED_COMPLETE
     assert spec.values == pytest.approx(
         [1.7070120288207452e-08, 0.0002062420871917647, 0.4571724209083913], abs=1e-8)
-    assert spec.counters["sdp_solves"] <= 14
+    assert spec.counters["sdp_solves"] <= 9
     checks = [e for e in spec.log if e.get("phase") == "backward-check"]
     assert all(isinstance(e["atoms"], bool) for e in checks)
     for e, after in zip(checks, checks[1:]):
@@ -212,9 +214,9 @@ def test_continuum_checks_never_pass_on_atoms_below_the_optimum():
 
 @pytest.mark.parametrize("kind, make, values, solves", [
     ("Z", fixtures.ex56, [1.70701285567669e-08, 0.00020624208719176345,
-                          0.4571724209083913], 10),
+                          0.4571724209083913], 9),
     ("H", fixtures.ex52, [1.3585945810150037, 1.4984689230852597,
-                          1.522550320217081, 4.730306524131185], 13),
+                          1.522550320217081, 4.730306524131185], 12),
 ], ids=["ex56-Z", "ex52-H"])
 def test_shifted_minimization_starts_at_the_passing_check_order(kind, make, values,
                                                                  solves):
@@ -258,6 +260,8 @@ def _hierarchies(log):
 def _start_rules_seen(kind, A):
     """Check every hierarchy's first order against the start rules.
 
+    The smallest-eigenvalue hierarchy starts at k0, or at k0 + 1 when the
+    system is sign-invariant, and counts a skipped k0 as a failed order.
     A hierarchy that succeeds at order k after solving lower orders sends
     the next one of its family to k; one that succeeds at the first order
     tried sends it to max(k0, k - 1).  The first backward check starts at
@@ -267,15 +271,21 @@ def _start_rules_seen(kind, A):
     Returns the rules the sweep exercised.
     """
     spec = full_sweep(kind, A)
-    k0 = EigenSystem(kind, A).k0
+    system = EigenSystem(kind, A)
+    k0 = system.k0
     kmax = k0 + SweepOptions().kmax_offset
     hierarchies = _hierarchies(spec.log)
-    start, seen = {"min": k0}, set()
+    invariant = sign_invariant(system.f, system.h, [])
+    start, seen = {"min": k0 + 1 if invariant else k0}, set()
+    if invariant:
+        seen.add("smallest at k0 + 1 when sign-invariant")
     for h, after in zip(hierarchies, hierarchies[1:] + [None]):
         family, first, k = h["family"], h["orders"][0], h["orders"][-1]
         assert first == min(start[family], kmax), (h, start)
         if family == "min" and after is not None:
-            start["min"] = k if k > first else max(k0, k - 1)
+            # the smallest-eigenvalue hierarchy's skipped k0 counts as failed
+            tried = k0 if "max" not in start else first
+            start["min"] = k if k > tried else max(k0, k - 1)
             if "max" not in start:
                 start["max"] = k
                 seen.add("first check at the smallest's order")
@@ -291,11 +301,107 @@ def _start_rules_seen(kind, A):
 
 
 def test_hierarchies_start_where_they_last_succeeded():
-    for kind, A in [("Z", fixtures.ex56()), ("H", fixtures.random_tensor(4, 2, seed=7))]:
-        assert _start_rules_seen(kind, A) == {
-            "first check at the smallest's order",
-            "min: lower orders failed", "min: first order succeeded",
-            "max: lower orders failed", "max: first order succeeded"}
+    rules = {"smallest at k0 + 1 when sign-invariant",
+             "first check at the smallest's order",
+             "min: lower orders failed", "min: first order succeeded",
+             "max: lower orders failed", "max: first order succeeded"}
+    # every minimization of ex56 Z and of the random H tensor that finds an
+    # eigenvalue succeeds at the first order it solves; ex54(3) Z, of odd
+    # order, is not sign-invariant
+    for label, kind, A, unused in [
+            ("ex56", "Z", fixtures.ex56(), {"min: lower orders failed"}),
+            ("random(4, 2, 7)", "H", fixtures.random_tensor(4, 2, seed=7),
+             {"min: lower orders failed"}),
+            ("ex51", "H", fixtures.ex51(), set()),
+            ("ex54(3)", "Z", fixtures.ex54(3), {"smallest at k0 + 1 when sign-invariant"})]:
+        assert _start_rules_seen(kind, A) == rules - unused, (label, kind)
+
+
+# _atoms' rank thresholds from the default tau_rank: 1e-6 escalated tenfold to 1e-3
+_RANK_THRESHOLDS = (1e-6, 1e-5, 1e-4, 1e-3)
+
+
+def _normalizable_atoms_at_k0(system, ineqs):
+    """Normalizable atoms the order-k0 min relaxation yields, per rank threshold."""
+    prob = build_min_relaxation(system.f, system.h, ineqs, system.k0)
+    sol = solve(prob)
+    assert verify_solution(prob, sol)["ok"] and sol.y is not None
+    y = prob.lift(sol.y)
+    found = []
+    for tau in _RANK_THRESHOLDS:
+        t = flat_truncation(y, system.k0, system.k0, tau)
+        try:
+            points = [] if t is None else extract_atoms(y, t, tau, SweepOptions().seed).points
+        except ExtractionError:
+            points = []
+        count = 0
+        for u in points:
+            try:
+                system.normalize(u)
+                count += 1
+            except ValueError:
+                pass
+        found.append(count)
+    return found
+
+
+@pytest.mark.parametrize("nonneg", [False, True])
+@pytest.mark.parametrize("kind, make", [
+    ("H", fixtures.ex51), ("H", fixtures.ex56), ("H", lambda: fixtures.ex54(4)),
+    ("Z", lambda: fixtures.random_tensor(4, 2, seed=7)),
+], ids=["ex51-H", "ex56-H", "ex54(4)-H", "random-m4-n2-Z"])
+def test_sign_invariant_min_relaxation_never_flattens_at_k0(kind, make, nonneg):
+    # a rank-one M_k0(y) with zero odd moments is the origin's, which the
+    # normalization sum x_i^m0 = 1 excludes; no threshold reads one either
+    system = EigenSystem(kind, make())
+    ineqs = [system.f] if nonneg else []
+    assert sign_invariant(system.f, system.h, ineqs)
+    assert _normalizable_atoms_at_k0(system, ineqs) == [0] * len(_RANK_THRESHOLDS)
+
+
+@pytest.mark.parametrize("make", [
+    fixtures.ex52, lambda: fixtures.random_tensor(3, 2, seed=905),
+], ids=["ex52-Z", "random-m3-n2-Z"])
+def test_odd_order_z_min_relaxation_extracts_at_k0(make):
+    system = EigenSystem("Z", make())
+    assert not sign_invariant(system.f, system.h, [])
+    assert all(_normalizable_atoms_at_k0(system, []))
+
+
+def _first_smallest_order(spec):
+    return next(e["k"] for e in spec.log if e.get("phase") == "smallest-min" and "status" in e)
+
+
+def test_smallest_hierarchy_starts_above_k0_when_sign_invariant():
+    for kind, A, skip in [("H", fixtures.ex51(), 1), ("Z", fixtures.ex56(), 1),
+                          ("Z", fixtures.random_tensor(3, 2, seed=905), 0)]:
+        spec = full_sweep(kind, A)
+        assert spec.termination == Termination.CERTIFIED_COMPLETE
+        assert _first_smallest_order(spec) == EigenSystem(kind, A).k0 + skip
+    # without a budget above k0, k0 is still solved
+    spec = full_sweep("H", fixtures.ex51(), SweepOptions(kmax_offset=0))
+    assert _first_smallest_order(spec) == EigenSystem("H", fixtures.ex51()).k0
+
+
+def test_empty_spectra_still_certified_above_k0():
+    # m = 3, n = 2: this tensor has no real H-eigenvalue; the order-k0 + 1
+    # relaxation is infeasible, proven by a verified ray
+    A = Tensor(np.random.default_rng((2015, 2)).standard_normal((2, 2, 2)))
+    k0 = EigenSystem("H", A).k0
+    spec = full_sweep("H", A)
+    assert spec.termination == Termination.CERTIFIED_COMPLETE and spec.values == []
+    out = smallest_eigenvalue("H", A)
+    assert out.outcome == "no-eigenvalue" and out.certificate["k"] == k0 + 1
+    assert out.certificate["report"]["ok"]
+    assert spec.counters["sdp_solves"] == 1 and spec.counters["ipm_iterations"] > 0
+    # ex13 Z ends on the inconsistency of its equality system alone
+    k0 = EigenSystem("Z", fixtures.ex13()).k0
+    out = smallest_eigenvalue("Z", fixtures.ex13())
+    assert out.outcome == "no-eigenvalue" and out.certificate["k"] == k0 + 1
+    assert out.certificate["report"]["ok"]
+    assert out.certificate["certificate"]["mu"] is not None
+    assert not any(b.any() for b in out.certificate["certificate"]["blocks"])
+    assert full_sweep("Z", fixtures.ex13()).counters == {"sdp_solves": 1, "ipm_iterations": 0}
 
 
 def test_full_sweep_ex51_z():
@@ -470,7 +576,7 @@ def test_sweep_matches_newton_enumeration_n3(kind, seed):
 def test_sweep_matches_newton_enumeration_n4():
     spec = _assert_sweep_matches_newton(
         "Z", Tensor(np.random.default_rng((4, 4, 5)).standard_normal((4,) * 4)))
-    assert spec.counters["sdp_solves"] <= 13
+    assert spec.counters["sdp_solves"] <= 12
 
 
 _GAP_THRESH = pytest.mark.xfail(
