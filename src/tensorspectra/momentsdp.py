@@ -25,17 +25,40 @@ of its variables in the full moment vector and lifts a solution back with
 the odd moments at zero.  ex56 H at k = 6 shrinks from 455 moments and
 248 equality rows to 252 and 128.
 
-Over the even-degree moments, cell (a, b) of a block of such a relaxation
-holds moments of degree deg a + deg b plus an even number, so it is empty
-unless the basis monomials a and b have the same degree parity.  Each
-block is then the direct sum of its even-degree and its odd-degree rows
-and columns, and it is PSD exactly when both parts are, so a block whose
-side is at least SPLIT_MIN_SIDE enters the relaxation as those two parts
-(ex56 H at k = 6: the moment block of side 84 as parts of 50 and 34).
-Each part records the rows of the whole basis it covers.  The split is
-checked when it is built: a cross-parity cell that holds a moment raises.
-Below that side the extra block costs the solver more per iteration than
-the smaller products save.
+Every Z and H relaxation holds the sphere sum_i x_i^m0 = 1, m0 even, and
+every cell of its localizing matrix as an equality row, so every feasible
+y has <x^delta (sum_i x_i^m0 - 1), y> = 0 for all |delta| <= 2k - m0.
+M_k(y) then maps the coefficient vector of each x^beta (sum_i x_i^m0 - 1),
+|beta| <= k - m0, to zero, and so does L_ineq(y) for |beta| <= k - m0 -
+ceil(deg ineq / 2): every cell either product reads has degree at most
+2k - m0.  So each block keeps only its rows whose monomial alpha has
+alpha_1 < m0, the standard monomials of the sphere in the graded order.
+A dropped row alpha is the leading monomial, with coefficient 1, of the
+vector of beta = alpha - m0 e_1, and every other dropped row of that
+vector has a smaller exponent of x_1: ordered by that exponent, the
+vectors are unit triangular on the dropped rows.  Any vector is thus a
+vector on the kept rows plus a combination of them, and a block is PSD
+exactly when its principal submatrix on the kept rows is.  This is
+facial reduction of the moment cone (Permenter and Parrilo, "Partial
+facial reduction", Math. Program. 171, 2018), exact given the sphere
+rows, which hold up to the rows dropped as dependent to EQ_RANK_TOL.  A
+relaxation without the sphere keeps every row.  Each block is built on
+its kept rows alone and records them (``rows``); ex56 H's moment block at
+k = 6 keeps 74 of its 84 rows.
+
+Over the even-degree moments, cell (a, b) of a block of a sign-invariant
+relaxation holds moments of degree deg a + deg b plus an even number, so
+it is empty unless the basis monomials a and b have the same degree
+parity.  Each block is then the direct sum of its even-degree and its
+odd-degree rows and columns, and it is PSD exactly when both parts are,
+so a block whose whole side is at least SPLIT_MIN_SIDE enters the
+relaxation as the two parts of its kept rows, each built on its own rows
+and tagged with its ``parity`` (ex56 H at k = 6: the moment block of side
+84 as parts of 43 and 31, of 50 and 34 with every row kept).  The split
+refuses a polynomial with a term of odd degree, or a support with a
+moment of odd degree: their cross-parity cells may hold a moment.  Below
+that side the extra block costs the solver more per iteration than the
+smaller products save.
 """
 
 from __future__ import annotations
@@ -93,8 +116,9 @@ class LocalizingStructure:
     flattened side*side localizing matrix.  With ``support``, the vector
     holds only the moments at those positions of the full moment vector;
     without it, the first ``num_moments``.  With ``rows``, the matrix is
-    the principal submatrix on those rows of the whole basis (a parity
-    part, see the module docstring); without it, the whole matrix.
+    the principal submatrix on those rows of the whole basis; without it,
+    the whole matrix.  ``parity`` is 0 or 1 for the even or the odd part of
+    a block split by degree parity (module docstring), else None.
     """
 
     q: Polynomial
@@ -105,28 +129,32 @@ class LocalizingStructure:
     matrix: scipy.sparse.csr_matrix = field(repr=False)
     support: np.ndarray | None = field(default=None, repr=False)
     rows: np.ndarray | None = field(default=None, repr=False)
+    parity: int | None = None
 
     @property
-    def degrees(self):
-        """The degree of the basis monomial of each row."""
-        degrees = exponents(self.n, self.k - (self.q.degree + 1) // 2).sum(axis=1)
-        return degrees if self.rows is None else degrees[self.rows]
+    def basis(self):
+        """The exponents of the basis monomial of each row."""
+        basis = exponents(self.n, self.k - (self.q.degree + 1) // 2)
+        return basis if self.rows is None else basis[self.rows]
 
 
-def localizing_structure(q, k, support=None):
+def localizing_structure(q, k, support=None, rows=None):
     """Build the localizing structure of q at order k.
 
     With ``support``, an increasing array of moment positions, the matrix
     has one column per position, and the entries of every other moment are
-    left out.
+    left out.  With ``rows``, an increasing array of rows of the whole
+    basis, only the cells joining two of them are built.
     """
     dq = q.degree
     if dq > 2 * k:
         raise ValueError(f"polynomial degree {dq} exceeds 2k = {2 * k}")
     n = q.n
     half = (dq + 1) // 2
-    side = basis_size(n, k - half)
     basis = exponents(n, k - half)
+    if rows is not None:
+        basis = basis[rows]
+    side = len(basis)
     monos = np.array(list(q.terms), dtype=np.intp).reshape(-1, n)
     # the graded order is a monomial order: with q's terms sorted by position
     # once, each cell's moments come out sorted, and distinct
@@ -148,7 +176,7 @@ def localizing_structure(q, k, support=None):
     mat = scipy.sparse.csr_matrix(
         (data, cols[keep], indptr), shape=(side * side, num_moments))
     return LocalizingStructure(q=q, k=k, n=n, side=side, num_moments=num_moments,
-                               matrix=mat, support=support)
+                               matrix=mat, support=support, rows=rows)
 
 
 def moment_structure(n, k, support=None):
@@ -302,38 +330,55 @@ def _even_moments(n, k):
     return np.flatnonzero(exponents(n, 2 * k).sum(axis=1) % 2 == 0)
 
 
-def _parity_parts(s):
-    """A block of a sign-invariant relaxation as its even and odd parts.
+def _parity_parts(q, k, support, rows):
+    """q's localizing block on ``rows`` as its even- and odd-degree parts.
 
-    Blocks with side below SPLIT_MIN_SIDE stay whole.  Raises ValueError
-    when a cell joining an even and an odd row holds a moment: the block
-    is then not the direct sum of its parts.
+    Raises ValueError when a cell joining an even and an odd row may hold a
+    moment: when q has a term of odd degree, or the support a moment of odd
+    degree (every moment when there is no support).  The block is then not
+    the direct sum of its parts.
     """
-    if s.side < SPLIT_MIN_SIDE:
-        return [s]
-    odd = s.degrees % 2 == 1
-    cell_sizes = np.diff(s.matrix.indptr).reshape(s.side, s.side)
-    if cell_sizes[odd[:, None] != odd[None, :]].any():
-        raise ValueError(f"an order-{s.k} block of side {s.side} has a cross-parity moment")
-    parts = []
-    for rows in (np.flatnonzero(~odd), np.flatnonzero(odd)):
-        cells = (rows[:, None] * s.side + rows).ravel()
-        parts.append(replace(s, side=len(rows), matrix=s.matrix[cells], rows=rows))
-    return parts
+    odd_moments = support is None or \
+        np.any(exponents(q.n, 2 * k)[support].sum(axis=1) % 2)
+    if _parity(q) != 0 or odd_moments:
+        raise ValueError(f"an order-{k} block of a degree-{q.degree} polynomial "
+                         "may hold a cross-parity moment")
+    odd = exponents(q.n, k - (q.degree + 1) // 2)[rows].sum(axis=1) % 2
+    return [replace(localizing_structure(q, k, support, rows[odd == parity]), parity=parity)
+            for parity in (0, 1)]
+
+
+def _blocks(q, k, support, m0, split):
+    """The PSD blocks that stand for q's localizing matrix at order k.
+
+    With the sphere's degree m0, they keep only the rows whose monomial
+    alpha has alpha_1 < m0 (module docstring).  With ``split``, a matrix
+    whose whole side is at least SPLIT_MIN_SIDE enters as its even- and
+    odd-degree parts.
+    """
+    basis = exponents(q.n, k - (q.degree + 1) // 2)
+    rows = None if m0 is None else np.flatnonzero(basis[:, 0] < m0)
+    if not split or len(basis) < SPLIT_MIN_SIDE:
+        return [localizing_structure(q, k, support, rows)]
+    return _parity_parts(q, k, support, np.arange(len(basis)) if rows is None else rows)
 
 
 def _moment_bound(eqs):
-    """1.0 when some equality is sum_i x_i^d - 1 with d even, else None."""
+    """The degree m0 of the sphere: m0 when some equality is
+    sum_i x_i^m0 - 1 with m0 even, else None.  Reads the terms alone."""
     for h in eqs:
-        d, x = h.degree, [Polynomial.variable(h.n, i) for i in range(h.n)]
-        if d > 0 and d % 2 == 0 and h == sum((xi ** d for xi in x), Polynomial.zero(h.n)) - 1.0:
-            return 1.0
+        if len(h.terms) != h.n + 1 or h.terms.get((0,) * h.n) != -1.0:
+            continue
+        m0 = max(sum(mono) for mono in h.terms)
+        leads = [tuple(m0 if j == i else 0 for j in range(h.n)) for i in range(h.n)]
+        if m0 > 0 and m0 % 2 == 0 and all(h.terms.get(lead) == 1.0 for lead in leads):
+            return m0
     return None
 
 
 def _build_relaxation(f, eqs, ineqs, k, maximize, store, reduce=True):
-    # reduce=False keeps every moment of a sign-invariant problem: the
-    # tests' reference for the reduced relaxation
+    # reduce=False keeps every moment of a sign-invariant problem and every
+    # row of each block: the tests' reference for the reduced relaxation
     n = f.n
     if f.degree > 2 * k:
         raise ValueError(f"objective degree {f.degree} exceeds 2k = {2 * k}")
@@ -347,13 +392,13 @@ def _build_relaxation(f, eqs, ineqs, k, maximize, store, reduce=True):
     c = f.coefficient_vector(2 * k)
     if invariant:
         c = c[support]
-    parts = _parity_parts if invariant else (lambda s: [s])
     shared = store is not None
     store = {} if store is None else store
-    if "moment_bound" not in store:
-        store["moment_bound"] = _moment_bound(eqs)
-    if (k, invariant) not in store:
-        moments = parts(moment_structure(n, k, support))
+    if "sphere" not in store:
+        store["sphere"] = _moment_bound(eqs)
+    m0 = store["sphere"] if reduce else None
+    if (k, invariant, m0) not in store:
+        moments = _blocks(Polynomial.constant(n, 1.0), k, support, m0, invariant)
         eq_system = _equality_system(eqs, k, c.shape[0], support)
         if shared:
             # every later relaxation of this order reads these arrays, so
@@ -362,15 +407,16 @@ def _build_relaxation(f, eqs, ineqs, k, maximize, store, reduce=True):
                     s.matrix.data, s.matrix.indices, s.matrix.indptr, s.support, s.rows))]:
                 if a is not None:
                     a.flags.writeable = False
-        store[k, invariant] = moments, eq_system, {}
-    moments, (eq_rows, eq_rhs, farkas_mu), eq_factors = store[k, invariant]
+        store[k, invariant, m0] = moments, eq_system, {}
+    moments, (eq_rows, eq_rhs, farkas_mu), eq_factors = store[k, invariant, m0]
 
     blocks = list(moments)
     for g in ineqs:
-        blocks.extend(parts(localizing_structure(g, k, support)))
+        blocks.extend(_blocks(g, k, support, m0, invariant))
     return ConicProblem(n=n, k=k, c=c, eq_rows=eq_rows, eq_rhs=eq_rhs,
                         blocks=blocks, maximize=maximize, farkas_mu=farkas_mu,
-                        support=support, moment_bound=store["moment_bound"],
+                        support=support,
+                        moment_bound=None if store["sphere"] is None else 1.0,
                         eq_factors=eq_factors)
 
 
@@ -378,8 +424,9 @@ def build_min_relaxation(f, eqs, ineqs, k, store=None):
     """Order-k moment relaxation of minimizing f over {eqs = 0, ineqs >= 0}.
 
     ``store``, a dict shared only by relaxations with the same eqs, keeps
-    the moment bound, and per order k (and per sign invariance, see the
-    module docstring) the moment block (or its parity parts), the reduced
+    the sphere's degree m0, which sets the moment bound and the rows each
+    block keeps, and per order k (and per sign invariance, see the module
+    docstring) the moment block (or its parity parts), the reduced
     equality system and the solver's factors of it (``eq_factors``).  The
     arrays it shares are read-only; without a store, every array is the
     relaxation's own.
@@ -401,8 +448,8 @@ def dump_problem(problem):
     """Plain-text dump: objective, equality triplets, block sizes.
 
     A relaxation over part of the moments also lists the positions of its
-    variables in the graded monomial order, and tags each parity part of a
-    block with its parity (``22:even 34:odd``).
+    variables in the graded monomial order.  Each block shows its side,
+    and each parity part also its parity (``21:even 31:odd 20``).
     """
     out = []
     sense = "max" if problem.maximize else "min"
@@ -419,6 +466,6 @@ def dump_problem(problem):
         cells = " ".join(f"{i}:{problem.eq_rows[r, i]!r}" for i in nz)
         out.append(f"eq {r} rhs {problem.eq_rhs[r]!r} {cells}")
     out.append("blocks " + " ".join(
-        str(b.side) if b.rows is None else f"{b.side}:{('even', 'odd')[b.degrees[0] % 2]}"
+        str(b.side) if b.parity is None else f"{b.side}:{('even', 'odd')[b.parity]}"
         for b in problem.blocks))
     return "\n".join(out) + "\n"

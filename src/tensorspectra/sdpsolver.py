@@ -50,14 +50,18 @@ eigenvalue call per block bounds both of its sides, and its gap is
 (1 - a) sig.sig + a^2 <Ds, Dz>, so the predictor forms neither dS nor
 dZ.  A direction that is not finite gets step 0, which ends the solve
 with its best iterate.  A relaxation over part of the moments needs no
-branch here, nor does one whose blocks are split by degree parity (see
-:mod:`momentsdp`): the solver sees more, smaller blocks, each with its
-own NT scaling, and a block-diagonal matrix is PSD exactly when each of
-its diagonal blocks is, so :func:`verify_solution` checks the same
-conditions part by part.  The scaling of the projected operators and the
-Schur products cost in proportion to the sum of the squared block sides:
-50² + 34² = 3656 for the parts of ex56 H's moment block at k = 6,
-against 84² = 7056 whole.
+branch here, nor does one whose blocks keep only the sphere's standard
+monomials or are split by degree parity (see :mod:`momentsdp`): the
+solver sees smaller blocks, each with its own NT scaling.  A
+block-diagonal matrix is PSD exactly when each of its diagonal blocks
+is, and, given the sphere rows, a block is PSD exactly when its
+principal submatrix on the kept rows is (Theorem below), so
+:func:`verify_solution` checks the same conditions on the blocks the
+solver sees.  The scaling of the projected operators and the Schur
+products cost in proportion to the sum of the squared block sides:
+43² + 31² = 2810 for the parts of ex56 H's moment block at k = 6,
+against 50² + 34² = 3656 for its parts with every row kept and
+84² = 7056 for the whole block.
 
 Every right-hand factor of the products in the Schur assembly and the
 congruences is passed in NN layout, C-contiguous: R_j^T and Rinv_j^T are
@@ -69,11 +73,12 @@ which numpy runs as syrk, exactly symmetric.  The Schur assembly
 (:func:`_schur`) is most of the cost of the largest relaxations.  Per
 iteration and block it takes 2 m q_j^3 multiply-adds for the scaled
 operators Rinv_j mat_j(B e_l) Rinv_j^T and m^2 q_j^2 / 2 for the syrk.
-On the order-5 shifted relaxations of ex55 H and ex56 H (m = 102, sides
-22, 34 and 20), one assembly takes about 0.74 ms on one core of a 2-core
-x86-64 machine (OpenBLAS, one thread): 0.17 ms for the left products,
-0.16 ms for the right ones (0.31 ms with Rinv_j^T a transposed view) and
-0.38 ms for the syrks.
+On the order-5 shifted relaxation of ex56 H (m = 102, sides 21, 31 and
+20), one assembly takes about 0.74 ms on one core of a 2-core x86-64
+machine (OpenBLAS, one thread), against 0.80 ms at sides 22, 34 and 20,
+with every row kept.  At those sides an earlier measurement split it
+into 0.17 ms for the left products, 0.16 ms for the right ones (0.31 ms
+with Rinv_j^T a transposed view) and 0.38 ms for the syrks.
 
 The relaxations are small (a few dozen moments on n = 2 tensors), so the
 iteration is bound by per-call overhead rather than arithmetic.  All PSD
@@ -124,10 +129,16 @@ in the manner of the rigorous SDP bounds of Jansson, Chaykin and Keil
 (SIAM J. Numer. Anal. 46, 2007).
 
 Theorem.  Let y be feasible for an order-k relaxation that holds
-y_0 = 1, M_k(y) PSD and every localizing row of sum_i x_i^m0 - 1, m0
-even and m0 <= 2k (every Z and H relaxation of the sweep).  Then
-|y_alpha| <= 1 for all |alpha| <= 2k.  Proof: let D = y_(2 gamma) be the
-largest diagonal moment, gamma of least degree among its maximizers.
+y_0 = 1, every localizing row of sum_i x_i^m0 - 1, m0 even and
+m0 <= 2k, and the principal submatrix of M_k(y) on the rows alpha with
+alpha_1 < m0 PSD (every Z and H relaxation of the sweep).  Then
+|y_alpha| <= 1 for all |alpha| <= 2k.  Proof: first, M_k(y) is PSD.
+The sphere rows make it map each x^beta (sum_i x_i^m0 - 1),
+|beta| <= k - m0, to zero, and these vectors, one per dropped row
+alpha = beta + m0 e_1, are unit triangular on the dropped rows, so the
+quadratic form of M_k(y) is that of its kept-row submatrix
+(:mod:`momentsdp`).  Next, let D = y_(2 gamma) be the largest diagonal
+moment, gamma of least degree among its maximizers.
 (i) If gamma_i >= m0/2, the row at beta = 2 gamma - m0 e_i reads
 sum_l y_(beta + m0 e_l) = y_beta, where every term on the left is
 diagonal, so D <= y_beta and beta/2 is a maximizer of lower degree.
@@ -165,8 +176,8 @@ the 1-norm, a bound from the terms' magnitudes and counts (see
 the largest certificates the sweep meets (the ex56 Z rays at k = 5 and 6,
 norm 3.8e6 at k = 6), against b.mu = 1.  Y = moment_bound + MOMENT_MARGIN;
 the margin stands for the equality rows that :mod:`momentsdp` drops as
-dependent only to EQ_RANK_TOL, and for the rounding of the slack's own
-sums.
+dependent only to EQ_RANK_TOL, on which the first step of the proof
+rests too, and for the rounding of the slack's own sums.
 """
 
 from __future__ import annotations

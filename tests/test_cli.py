@@ -223,10 +223,11 @@ def test_dump_sdp_at_an_existing_file_exit2(ex51_file, tmp_path, capsys, monkeyp
 
 
 def test_dump_sdp_tags_parity_parts(tmp_path, capsys):
-    # ex54(4) H: the moment block of side 35 at k = 3 enters as its even and
-    # odd parts (11 and 24 rows); the smaller blocks, such as the k = 2
-    # moment block of side 15 and a cap's localizing block of side 5, stay
-    # whole
+    # ex54(4) H (m = 3, so m0 = 2): every block keeps its rows with
+    # alpha_1 < 2.  The moment block of side 35 at k = 3 keeps 30 rows and
+    # enters as its even and odd parts (10 and 20 rows); the smaller blocks
+    # print their bare sides, whether the sphere rule dropped rows (the
+    # k = 2 moment block, 15 -> 14) or none (a cap's localizing block of 5)
     path = tmp_path / "ex54.tsr"
     path.write_text(serialize_tensor(fixtures.ex54(4)))
     dump_dir = tmp_path / "dumps"
@@ -236,8 +237,8 @@ def test_dump_sdp_tags_parity_parts(tmp_path, capsys):
     for name in sorted(os.listdir(dump_dir)):
         text = (dump_dir / name).read_text()
         lines.update(line for line in text.splitlines() if line.startswith("blocks "))
-    assert "blocks 11:even 24:odd 15" in lines
-    assert "blocks 15 5" in lines
+    assert "blocks 10:even 20:odd 14" in lines
+    assert "blocks 14 5" in lines
 
 
 def test_parser_rejects_unknown_mode():

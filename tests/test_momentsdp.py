@@ -7,12 +7,14 @@ import scipy.sparse
 import fixtures
 from tensorspectra import Tensor, momentsdp
 from tensorspectra.driver import EigenSystem, h_system, z_system
-from tensorspectra.momentsdp import (SPLIT_MIN_SIDE, MomentVector, _build_relaxation,
+from tensorspectra.momentsdp import (EQ_RANK_TOL, SPLIT_MIN_SIDE, MomentVector,
+                                     _build_relaxation, _moment_bound,
                                      _parity, _parity_parts, assemble_matrix,
                                      build_max_relaxation, build_min_relaxation,
                                      dump_problem, localizing_structure,
                                      moment_structure, moment_vector_of_point)
-from tensorspectra.poly import Polynomial, basis_size, moment_index_table, monomials_upto
+from tensorspectra.poly import (Polynomial, basis_size, exponents, moment_index_table,
+                                monomials_upto, positions)
 from tensorspectra.sdpsolver import (EPS_FEAS, EPS_GAP, ConicSolution, SolveStatus, solve,
                                      verify_solution)
 
@@ -206,7 +208,9 @@ def test_min_relaxation_unit_row_and_blocks():
     unit = np.zeros(prob.num_vars)
     unit[0] = 1.0
     assert np.array_equal(prob.eq_rows[0], unit)
-    assert [b.side for b in prob.blocks] == [basis_size(2, 3)]
+    # m0 = 2: the moment block keeps its 7 rows with alpha_1 < 2 of 10, and
+    # the shift's localizing block, of degree at most 1, all 3 of its rows
+    assert [b.side for b in prob.blocks] == [7]
     prob_shift = build_min_relaxation(f, hs, [f - 23.05], 3)
     assert len(prob_shift.blocks) == 2
     assert prob_shift.blocks[1].side == basis_size(2, 3 - 2)
@@ -315,11 +319,9 @@ _INVARIANT = [
 
 
 def _system(name, kind):
-    A = getattr(fixtures, name)()
-    if kind == "Z":
-        return z_system(A)
-    f, hs, _m0 = h_system(A)
-    return f, hs
+    """(f, hs, m0) of a fixture's eigen-system."""
+    system = EigenSystem(kind, getattr(fixtures, name)())
+    return system.f, system.h, system.m0
 
 
 def _both(f, hs, ineqs, k, maximize):
@@ -328,44 +330,53 @@ def _both(f, hs, ineqs, k, maximize):
             _build_relaxation(f, hs, ineqs, k, maximize, None, reduce=False))
 
 
-def _parts_of(red, full):
-    """Each whole block of the full relaxation, with the reduced blocks it became.
+def _rows(blk):
+    """The rows of the whole basis that a block holds."""
+    return np.arange(blk.side) if blk.rows is None else blk.rows
 
-    The reduced blocks come in order: a whole block, or the even and the
-    odd part of one, whose rows then partition the whole basis.
+
+def _parts_of(red, full, m0):
+    """Each block of ``full``, with the reduced blocks it became, and each
+    reduced block's rows as positions among the rows of that block.
+
+    The reduced blocks come in order: one block, or the even and the odd
+    part of one.  Their rows partition the rows of the full block except
+    exactly the sphere's leads, the monomials alpha with alpha_1 >= m0.
     """
     blocks = iter(red.blocks)
     for whole in full.blocks:
         parts = [next(blocks)]
-        while parts[0].rows is not None and sum(p.side for p in parts) < whole.side:
+        if parts[0].parity is not None:
             parts.append(next(blocks))
-        yield whole, parts
+        rows = np.sort(np.concatenate([_rows(part) for part in parts]))
+        assert np.array_equal(rows, _rows(whole)[whole.basis[:, 0] < m0])
+        yield whole, [(part, np.searchsorted(_rows(whole), _rows(part))) for part in parts]
     assert next(blocks, None) is None
 
 
-def _assert_parts_embed(red, full):
-    """Each reduced block is the principal submatrix of its whole block on
+def _assert_parts_embed(red, full, m0):
+    """Each reduced block is the principal submatrix of its full block on
     its rows, with the columns of the support.  A parity part holds no odd
-    moment, and the cells of a split block outside its parts hold only
-    odd ones."""
+    moment, and the cells of a split block outside its parts and outside
+    the rows of the sphere's leads hold only odd ones."""
     kept = np.isin(full.support, red.support)
-    for whole, parts in _parts_of(red, full):
+    for whole, parts in _parts_of(red, full, m0):
         covered = np.zeros((whole.side, whole.side), dtype=bool)
-        for part in parts:
-            rows = np.arange(whole.side) if part.rows is None else part.rows
+        for part, rows in parts:
             cells = (rows[:, None] * whole.side + rows).ravel()
             sub = whole.matrix[cells]
             assert (sub[:, kept] != part.matrix).nnz == 0
-            if part.rows is not None:
-                assert np.all(part.degrees % 2 == part.degrees[0] % 2)
+            if part.parity is not None:
+                assert np.all(part.basis.sum(axis=1) % 2 == part.parity)
                 assert sub[:, ~kept].nnz == 0
             covered[np.ix_(rows, rows)] = True
-        assert covered.diagonal().all()
-        assert sum(p.side for p in parts) == whole.side
-        assert whole.matrix[np.flatnonzero(~covered.ravel())][:, kept].nnz == 0
+        held = whole.basis[:, 0] < m0
+        assert np.array_equal(covered.diagonal(), held)
+        between = (held[:, None] & held[None, :] & ~covered).ravel()
+        assert whole.matrix[np.flatnonzero(between)][:, kept].nnz == 0
 
 
-def _assert_lift_proves_the_same(red, full, sol):
+def _assert_lift_proves_the_same(red, full, sol, m0):
     """The OPTIMAL primal-dual result ``sol`` of ``red``, lifted, passes the
     check of ``full`` and proves there the bound it proves for ``red``, at
     the same c.y.  So the optima of both relaxations lie between that bound
@@ -381,7 +392,7 @@ def _assert_lift_proves_the_same(red, full, sol):
     width = EPS_GAP * (1.0 + 2.0 * abs(report["bound"])) + \
         red.num_vars * EPS_FEAS * (1.0 + np.max(np.abs(red.c)))
     assert math.fsum(red.c * sol.y) - sign * report["bound"] <= 2.0 * width
-    lifted = _lift_pair(red, full, sol)
+    lifted = _lift_pair(red, full, sol, m0)
     lifted_report = verify_solution(full, lifted)
     assert lifted_report["ok"], lifted_report
     assert abs(lifted_report["bound"] - report["bound"]) <= 1e-10 * (1.0 + abs(report["bound"]))
@@ -392,30 +403,33 @@ def _assert_lift_proves_the_same(red, full, sol):
 @pytest.mark.parametrize("name,kind,k,shift,cap,top", _INVARIANT,
                          ids=[f"{c[0]}-{c[1]}" for c in _INVARIANT])
 def test_reduced_relaxation_matches_full(name, kind, k, shift, cap, top):
-    f, hs = _system(name, kind)
+    f, hs, m0 = _system(name, kind)
     capped = Polynomial.constant(f.n, cap) - f
     for ineqs, maximize in (([], False), ([f - shift], False), ([capped], True)):
         red, full = _both(f if not maximize else f.scale(-1.0), hs, ineqs, k, maximize)
         assert red.num_vars < full.num_vars
         assert np.array_equal(red.support, _even_positions(f.n, k))
-        _assert_parts_embed(red, full)
-        _assert_lift_proves_the_same(red, full, solve(red))
+        _assert_parts_embed(red, full, m0)
+        _assert_lift_proves_the_same(red, full, solve(red), m0)
 
 
 def _even_positions(n, k):
     return [i for i, m in enumerate(monomials_upto(n, 2 * k)) if sum(m) % 2 == 0]
 
 
-def _lift_certificate(red, full, cert):
+def _lift_certificate(red, full, cert, m0):
     """A reduced Farkas certificate as one of the full relaxation.
 
     The unit row <1, y> = 1 keeps its multiplier, the localizing rows of
     odd support get zero, and those of even support reproduce the reduced
     localizing rows' combination (both sets span the same rows).  The
-    duals of a block's parity parts are re-embedded at their rows of the
-    whole block; a whole block's dual loses its cross-parity cells.  Both
-    are pinchings of a PSD matrix, so they stay PSD.  ``full`` may hold
-    the same moments as ``red``, with its blocks whole.
+    duals of the reduced blocks are re-embedded at their rows of the full
+    block, with zeros on the rows of the sphere's leads; over the even
+    moments, a whole block's dual loses its cross-parity cells.  Both are
+    pinchings of a PSD matrix, so they stay PSD, and the zero rows add
+    nothing to the adjoint.  ``full`` may hold the same moments as
+    ``red``, with its blocks whole, and may keep only the sphere's
+    standard monomials too.
     """
     kept = np.isin(full.support, red.support)
     even_loc = ~np.any(full.eq_rows[:, ~kept] != 0, axis=1)
@@ -424,28 +438,28 @@ def _lift_certificate(red, full, cert):
     mu[0] = cert["mu"][0]
     mu[even_loc] = np.linalg.lstsq(full.eq_rows[even_loc][:, kept].T,
                                    red.eq_rows[1:].T @ cert["mu"][1:], rcond=None)[0]
-    return {"mu": mu, "blocks": _embed_duals(red, full, cert["blocks"])}
+    return {"mu": mu, "blocks": _embed_duals(red, full, cert["blocks"], m0)}
 
 
-def _lift_pair(red, full, sol):
+def _lift_pair(red, full, sol, m0):
     """A primal-dual result of ``red`` as one of ``full``: y through
     ``red.lift``, the duals as :func:`_lift_certificate` maps a ray's."""
-    cert = _lift_certificate(red, full, {"mu": sol.eq_duals, "blocks": sol.block_duals})
+    cert = _lift_certificate(red, full, {"mu": sol.eq_duals, "blocks": sol.block_duals}, m0)
     return ConicSolution(status=sol.status, y=red.lift(sol.y).values[full.support],
                          eq_duals=cert["mu"], block_duals=cert["blocks"])
 
 
-def _embed_duals(red, full, duals):
-    """The block duals of ``red`` as duals of the whole blocks of ``full``."""
+def _embed_duals(red, full, duals, m0):
+    """The block duals of ``red`` as duals of the blocks of ``full``."""
     duals = iter(duals)
+    pinch = red.num_vars < full.num_vars   # cross-parity cells hold odd moments only
     embedded = []
-    for whole, parts in _parts_of(red, full):
-        parity = whole.degrees % 2
+    for whole, parts in _parts_of(red, full, m0):
+        parity = whole.basis.sum(axis=1) % 2
         Z = np.zeros((whole.side, whole.side))
-        for part in parts:
-            rows = np.arange(whole.side) if part.rows is None else part.rows
+        for _part, rows in parts:
             Z[np.ix_(rows, rows)] = next(duals)
-        embedded.append(Z * (parity[:, None] == parity[None, :]))
+        embedded.append(Z * (parity[:, None] == parity[None, :]) if pinch else Z)
     return embedded
 
 
@@ -455,7 +469,7 @@ def _embed_duals(red, full, duals):
 def test_reduced_certificates_lift_to_full(name, kind, k, shift, cap, top):
     # shifted minimizations above the largest eigenvalue, and ex13's
     # minimizations (no real eigenvalue), are infeasible
-    f, hs = _system(name, kind)
+    f, hs, m0 = _system(name, kind)
     ineqs = [] if top is None else [f - (top + 0.1)]
     for order in range(k, k + 3):
         red, full = _both(f, hs, ineqs, order, False)
@@ -465,7 +479,7 @@ def test_reduced_certificates_lift_to_full(name, kind, k, shift, cap, top):
     assert sol.status == SolveStatus.PRIMAL_INFEASIBLE
     assert verify_solution(red, sol)["ok"]
     lifted = ConicSolution(status=SolveStatus.PRIMAL_INFEASIBLE,
-                           certificate=_lift_certificate(red, full, sol.certificate))
+                           certificate=_lift_certificate(red, full, sol.certificate, m0))
     report = verify_solution(full, lifted)
     assert report["ok"], report
 
@@ -490,6 +504,7 @@ def _non_invariant_relaxations():
 
 
 def test_non_invariant_relaxations_keep_every_moment():
+    # every moment, and in each block the rows with alpha_1 < 2 (m0 = 2)
     for f, hs, ineqs, k in _non_invariant_relaxations():
         prob = build_min_relaxation(f, hs, ineqs, k)
         ref = _build_relaxation(f, hs, ineqs, k, False, None, reduce=False)
@@ -499,9 +514,12 @@ def test_non_invariant_relaxations_keep_every_moment():
         assert np.array_equal(prob.c, c)
         assert np.array_equal(prob.eq_rows, ref.eq_rows)
         assert np.array_equal(prob.eq_rhs, ref.eq_rhs)
-        for blk, want in zip(prob.blocks, mats, strict=True):
-            assert blk.support is None
-            assert (blk.matrix != want).nnz == 0
+        for blk, whole, want in zip(prob.blocks, ref.blocks, mats, strict=True):
+            assert blk.support is None and blk.parity is None
+            assert whole.rows is None and (whole.matrix != want).nnz == 0
+            rows = np.flatnonzero(whole.basis[:, 0] < 2)
+            assert np.array_equal(blk.rows, rows)
+            assert (blk.matrix != want[(rows[:, None] * whole.side + rows).ravel()]).nnz == 0
         assert "support" not in dump_problem(prob)
 
 
@@ -528,11 +546,13 @@ def test_parity_detection():
 def test_moment_bound_needs_an_even_sphere():
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     f = x * y
-    for eqs in ([x * x + y * y - 1.0], [x * y, x ** 4 + y ** 4 - 1.0]):
+    for eqs, m0 in (([x * x + y * y - 1.0], 2), ([x * y, x ** 4 + y ** 4 - 1.0], 4)):
+        assert _moment_bound(eqs) == m0
         assert build_min_relaxation(f, eqs, [], 2).moment_bound == 1.0
         assert build_max_relaxation(f, eqs, [f], 2).moment_bound == 1.0
     for eqs in ([], [x * x + y * y - 2.0], [x * x - 1.0], [x ** 3 + y ** 3 - 1.0],
-                [x * x + y * y + x - 1.0]):
+                [x * x + y * y + x - 1.0], [x * x + 2.0 * y * y - 1.0]):
+        assert _moment_bound(eqs) is None
         assert build_min_relaxation(f, eqs, [], 2).moment_bound is None
     # every Z and H system of the sweep carries the bound
     for A in (fixtures.ex51(), fixtures.ex52(), fixtures.ex57(2)):
@@ -556,6 +576,87 @@ def test_lift_follows_the_support():
         assert np.array_equal(assemble_matrix(blk, full), assemble_matrix(blk, y))
 
 
+# every fixture of the paper's examples 5.1 to 5.7 that the sweeps run
+_FIXTURES = [("ex51", fixtures.ex51), ("ex52", fixtures.ex52), ("ex53", fixtures.ex53),
+             ("ex54(2)", lambda: fixtures.ex54(2)), ("ex54(3)", lambda: fixtures.ex54(3)),
+             ("ex54(4)", lambda: fixtures.ex54(4)), ("ex55", fixtures.ex55),
+             ("ex56", fixtures.ex56), ("ex57(2)", lambda: fixtures.ex57(2))]
+
+
+@pytest.mark.parametrize("kind", ["Z", "H"])
+@pytest.mark.parametrize("make", [c[1] for c in _FIXTURES], ids=[c[0] for c in _FIXTURES])
+def test_blocks_keep_exactly_the_rows_below_the_sphere_degree(make, kind):
+    # at k0 and k0 + 1, the minimization with a shift and the maximization
+    # with a cap: the rows of each block of the full relaxation with
+    # alpha_1 < m0, and no other, appear in its reduced blocks
+    system = EigenSystem(kind, make())
+    f, hs, m0 = system.f, system.h, system.m0
+    for k in (system.k0, system.k0 + 1):
+        for ineqs, maximize in (([f - 0.5], False), ([f, 1.0 - f], True)):
+            red, full = _both(f if not maximize else f.scale(-1.0), hs, ineqs, k, maximize)
+            for _whole, parts in _parts_of(red, full, m0):
+                assert all(np.all(part.basis[:, 0] < m0) for part, _rows in parts)
+
+
+def _sphere_multiples(n, d, m0):
+    """The coefficient vectors, over the basis of degree at most d, of
+    x^beta (sum_i x_i^m0 - 1) for every |beta| <= d - m0, as columns."""
+    basis = exponents(n, d - m0)
+    V = np.zeros((basis_size(n, d), len(basis)))
+    columns = np.arange(len(basis))
+    for i in range(n):
+        V[positions(n, d, basis + m0 * np.eye(n, dtype=np.intp)[i]), columns] += 1.0
+    V[positions(n, d, basis), columns] -= 1.0
+    return V
+
+
+@pytest.mark.parametrize("name,kind,k,shift", [
+    ("ex51", "Z", 3, None), ("ex52", "Z", 3, None), ("ex55", "Z", 4, 5.0),
+    ("ex56", "Z", 5, 0.1), ("ex55", "H", 5, 1.0), ("ex56", "H", 6, 0.1)])
+def test_feasible_blocks_annihilate_the_sphere_multiples(name, kind, k, shift):
+    # for y of an OPTIMAL solve, the whole moment matrix and localizing
+    # matrix map every multiple x^beta (sum_i x_i^m0 - 1) they can hold to
+    # zero, up to the rows dropped as dependent (EQ_RANK_TOL): the rows
+    # with alpha_1 >= m0 that the blocks drop are needed for no PSD test.
+    # A localizing matrix of basis degree below m0 holds no multiple.
+    f, hs, m0 = _system(name, kind)
+    ineqs = [] if shift is None else [f - shift]
+    prob = build_min_relaxation(f, hs, ineqs, k)
+    sol = solve(prob)
+    assert sol.status is SolveStatus.OPTIMAL
+    y = prob.lift(sol.y)
+    for q in [Polynomial.constant(f.n, 1.0)] + ineqs:
+        d = k - (q.degree + 1) // 2
+        if d < m0:
+            continue
+        M = assemble_matrix(localizing_structure(q, k), y)
+        V = _sphere_multiples(f.n, d, m0)
+        assert np.max(np.abs(M @ V)) <= EQ_RANK_TOL * np.max(np.abs(M))
+
+
+def test_sphere_reduced_relaxation_matches_full_rows():
+    # odd-order Z keeps every moment, and only the sphere rule reduces its
+    # blocks: OPTIMAL results and a Farkas certificate of ex52 Z, lifted
+    # with zeros on the dropped rows, prove the same on every row
+    f, hs = z_system(fixtures.ex52())
+    two = Polynomial.constant(3, 2.0)
+    for ineqs, maximize in (([], False), ([f - 0.3], False), ([f, two - f], True)):
+        red, full = _both(f if not maximize else f.scale(-1.0), hs, ineqs, 3, maximize)
+        assert red.num_vars == full.num_vars
+        _assert_parts_embed(red, full, 2)
+        _assert_lift_proves_the_same(red, full, solve(red), 2)
+    for order in (3, 4, 5):
+        red, full = _both(f, hs, [f - 2.85], order, False)
+        sol = solve(red)
+        if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
+            break
+    assert verify_solution(red, sol)["ok"]
+    lifted = ConicSolution(status=SolveStatus.PRIMAL_INFEASIBLE,
+                           certificate=_lift_certificate(red, full, sol.certificate, 2))
+    report = verify_solution(full, lifted)
+    assert report["ok"], report
+
+
 def _random_h43():
     return Tensor(np.random.default_rng((4, 3, 5)).standard_normal((3, 3, 3, 3)))
 
@@ -571,27 +672,27 @@ _SPLIT = [("ex54(4)", lambda: fixtures.ex54(4), 3, 5.9245),
 def test_split_relaxation_matches_whole_blocks(make, k, top, monkeypatch):
     # the minimization, then the shift above the largest eigenvalue order by
     # order until infeasible: each with its moment block split and whole
-    f, hs, _m0 = h_system(make())
+    f, hs, m0 = h_system(make())
     for ineqs in ([], [f - (top + 0.1)]):
         for order in range(k, k + 3):
             split = build_min_relaxation(f, hs, ineqs, order)
             with monkeypatch.context() as patch:
                 patch.setattr(momentsdp, "SPLIT_MIN_SIDE", math.inf)
                 whole = build_min_relaxation(f, hs, ineqs, order)
-            assert split.blocks[0].rows is not None
-            assert all(blk.rows is None for blk in whole.blocks)
+            assert split.blocks[0].parity is not None
+            assert all(blk.parity is None for blk in whole.blocks)
             assert np.array_equal(split.support, whole.support)
-            _assert_parts_embed(split, whole)
+            _assert_parts_embed(split, whole, m0)
             a = solve(split)
             if a.status is SolveStatus.PRIMAL_INFEASIBLE:
                 break
-            _assert_lift_proves_the_same(split, whole, a)
+            _assert_lift_proves_the_same(split, whole, a, m0)
             if not ineqs:
                 break
     assert a.status is SolveStatus.PRIMAL_INFEASIBLE
     assert verify_solution(split, a)["ok"]
     cert = {"mu": a.certificate["mu"],
-            "blocks": _embed_duals(split, whole, a.certificate["blocks"])}
+            "blocks": _embed_duals(split, whole, a.certificate["blocks"], m0)}
     report = verify_solution(whole, ConicSolution(status=SolveStatus.PRIMAL_INFEASIBLE,
                                                   certificate=cert))
     assert report["ok"], report
@@ -599,33 +700,39 @@ def test_split_relaxation_matches_whole_blocks(make, k, top, monkeypatch):
 
 def test_split_only_large_blocks_of_invariant_relaxations():
     # the n = 2 relaxations of random tensors up to three orders above the
-    # base order, shifted, and odd-order Z with a moment block of side 35
+    # base order, shifted, and odd-order Z with a moment block of whole
+    # side 35, which keeps its 25 rows with alpha_1 < 2 and stays whole
     cases = []
     for m in (3, 4):
         A = fixtures.random_tensor(m, 2, seed=7)
         for kind in ("Z", "H"):
             system = EigenSystem(kind, A)
-            cases += [(system.f, system.h, [system.f - 0.5], k)
+            cases += [(system.f, system.h, [system.f - 0.5], k, system.m0)
                       for k in range(system.k0, system.k0 + 4)]
     f, hs = z_system(fixtures.ex53())
-    cases.append((f, hs, [f], 4))
+    cases.append((f, hs, [f], 4, 2))
     split = 0
-    for f, hs, ineqs, k in cases:
+    for f, hs, ineqs, k, m0 in cases:
         prob = build_min_relaxation(f, hs, ineqs, k)
         invariant = prob.num_vars < basis_size(f.n, 2 * k)
         for whole, parts in _parts_of(prob, _build_relaxation(f, hs, ineqs, k, False, None,
-                                                             reduce=False)):
+                                                             reduce=False), m0):
             assert len(parts) == (2 if invariant and whole.side >= SPLIT_MIN_SIDE else 1)
             split += len(parts) == 2
-    assert prob.blocks[0].side == 35 and prob.blocks[0].rows is None
+    assert prob.blocks[0].side == 25 and prob.blocks[0].parity is None
     assert split
 
 
 def test_split_refuses_a_block_with_cross_parity_moments():
-    # over every moment, the cells joining even and odd rows hold odd moments
-    with pytest.raises(ValueError, match="cross-parity"):
-        _parity_parts(moment_structure(3, 4))
-    assert len(_parity_parts(moment_structure(3, 4, _even_positions(3, 4)))) == 2
+    # over every moment, or for an odd q, the cells joining even and odd rows
+    # may hold odd moments
+    one, x1 = Polynomial.constant(3, 1.0), Polynomial.variable(3, 0)
+    even = np.array(_even_positions(3, 4))
+    for q, support in ((one, None), (x1, even), (x1 * x1 + x1, even)):
+        with pytest.raises(ValueError, match="cross-parity"):
+            _parity_parts(q, 4, support, np.arange(basis_size(3, 4 - (q.degree + 1) // 2)))
+    parts = _parity_parts(one, 4, even, np.arange(35))
+    assert [(part.side, part.parity) for part in parts] == [(22, 0), (13, 1)]
 
 
 def _shared_arrays(prob):
@@ -634,21 +741,21 @@ def _shared_arrays(prob):
     arrays = [prob.eq_rows, prob.eq_rhs]
     if prob.farkas_mu is not None:
         arrays.append(prob.farkas_mu)
-    moment_parts = prob.blocks[:2 if prob.blocks[0].rows is not None else 1]
+    moment_parts = prob.blocks[:2 if prob.blocks[0].parity is not None else 1]
     for s in moment_parts:
         arrays += [s.matrix.data, s.matrix.indices, s.matrix.indptr]
     return arrays
 
 
 def test_store_shares_read_only_arrays_and_no_product_writes_them():
-    # ex56 H at k = 6, shifted: the moment block as parity parts of 50 and
-    # 34.  A second relaxation of the order reads the same arrays, so none
+    # ex56 H at k = 6, shifted: the moment block as parity parts of 43 and
+    # 31.  A second relaxation of the order reads the same arrays, so none
     # may be written; without a store every array is the relaxation's own
     f, hs, _m0 = h_system(fixtures.ex56())
     store = {}
     prob = build_min_relaxation(f, hs, [f - 0.05], 6, store)
     other = build_max_relaxation(f, hs, [f, 1.0 - f], 6, store)
-    assert [blk.side for blk in prob.blocks[:2]] == [50, 34]
+    assert [blk.side for blk in prob.blocks[:2]] == [43, 31]
     for a, b in zip(_shared_arrays(prob), _shared_arrays(other)):
         assert a is b and not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -676,7 +783,7 @@ def test_moment_bound_is_computed_once_per_store(monkeypatch):
 
     def counting(eqs):
         calls.append(eqs)
-        return 1.0
+        return 2
 
     monkeypatch.setattr(momentsdp, "_moment_bound", counting)
     f, hs = z_system(fixtures.ex51())

@@ -450,9 +450,10 @@ def test_flat_symmetric_part_matches_blocks():
 
 
 def _parity_problems():
-    # ex56 H shifted relaxation at order 5 (the moment block of side 56 as
-    # parity parts of 22 and 34, the shift block of side 20 whole) and the
-    # ex53 Z nonneg max relaxation with its cap (sides 35, 10, 10)
+    # ex56 H shifted relaxation at order 5 (m0 = 4: the moment block of
+    # side 56 keeps 52 rows, as parity parts of 21 and 31, and the shift
+    # block all 20 of its rows) and the ex53 Z nonneg max relaxation with
+    # its cap (m0 = 2: sides 35, 10 and 10 keep 25, 9 and 9 rows)
     f, hs, _m0 = h_system(fixtures.ex56())
     yield build_min_relaxation(f, hs, [f - 0.05], 5)
     f, hs = z_system(fixtures.ex53())
@@ -482,7 +483,7 @@ def test_workspace_operators_match_block_matrices(prob):
             a = ws.adjoint(cone.flatten(one))
             b = ws.adjoint(cone.flatten([Y.T for Y in one]))
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
-    assert cone.sides in ([22, 34, 20], [35, 10, 10])
+    assert cone.sides in ([21, 31, 20], [25, 9, 9])
 
 
 def test_one_read_only_workspace_per_problem():
@@ -509,16 +510,16 @@ def test_schur_matches_dense_reference(batch, monkeypatch):
     # B^T sum_j A_j^T (W_j^-1 kron W_j^-1) A_j B, with A_j block j's operator
     # and W_j^-1 = Rinv_j^T Rinv_j the NT scaling of random positive definite
     # (S_j, Z_j), for a random orthonormal B, on a random m = 4, n = 3 H
-    # relaxation: the parity parts, of sides 22 and 13, of its moment block,
-    # and its localizing block of side 10.  500 entries per batch split
+    # relaxation: the parity parts, of sides 21 and 13, of its moment block
+    # (x1^4, a lead of the sphere, dropped), and its localizing block of
+    # side 10.  500 entries per batch split
     # every block's scaled operators into batches.
     if batch is not None:
         monkeypatch.setattr("tensorspectra.sdpsolver._BATCH", batch)
     A = Tensor(np.random.default_rng((4, 3, 5)).standard_normal((3, 3, 3, 3)))
     f, hs, _m0 = h_system(A)
     prob = build_min_relaxation(f, hs, [f - 1.0], 4)
-    assert [(blk.side, blk.rows is not None) for blk in prob.blocks] == \
-        [(22, True), (13, True), (10, False)]
+    assert [(blk.side, blk.parity) for blk in prob.blocks] == [(21, 0), (13, 1), (10, None)]
     rng = np.random.default_rng(11)
     m = 60
     B = np.linalg.qr(rng.standard_normal((prob.num_vars, m)))[0]
@@ -532,7 +533,7 @@ def test_schur_matches_dense_reference(batch, monkeypatch):
         Wi = Rinv.T @ Rinv
         AB = blk.matrix.toarray() @ B
         want += AB.T @ np.kron(Wi, Wi) @ AB
-    buf = np.empty(m * 22 * 22)
+    buf = np.empty(m * 21 * 21)
     got = np.zeros((m, m))
     _schur(ops, Rinvs, [np.ascontiguousarray(Rinv.T) for Rinv in Rinvs], buf, got)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
