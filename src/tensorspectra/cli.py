@@ -166,15 +166,6 @@ def run(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    env_seed = os.environ.get("TENSOR_SPECTRA_SEED")
-    if env_seed is not None:
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            print(f"error: TENSOR_SPECTRA_SEED={env_seed!r} is not an integer",
-                  file=sys.stderr)
-            return 2
-
     try:
         with open(args.file) as fh:
             A = parse_tensor(fh.read())
@@ -188,9 +179,8 @@ def run(argv=None):
     try:
         opts = _sweep_options(args)
     except ValueError as exc:
-        # name what the user set: the flag, or the variable that set the seed
-        names = dict(_FLAGS, seed="TENSOR_SPECTRA_SEED") if env_seed is not None else _FLAGS
-        message = re.sub(r"\w+", lambda word: names.get(word[0], word[0]), str(exc))
+        # name the flag the user set, not the SweepOptions field
+        message = re.sub(r"\w+", lambda word: _FLAGS.get(word[0], word[0]), str(exc))
         print(f"error: {message}", file=sys.stderr)
         return 2
     if args.dump_sdp:

@@ -13,6 +13,11 @@ relaxes at order k to the conic problem over y: minimize <f, y> subject to
 <1, y> = 1, every cell of each L_eq(y) equal to zero, M_k(y) and each
 L_ineq(y) positive semidefinite.
 
+Every row, a cell of a block or an equality row, is <q x^g, y> for a
+shift g, and one routine builds them all: cell (a, b) of L_q has the shift
+a + b, and L_eq gives one equality row per monomial of degree at most
+2(k - ceil(deg eq / 2)), its distinct cells (``_equality_system``).
+
 A problem is sign-invariant when f and every inequality have only terms of
 even degree and every equality has terms of one degree parity: every H
 system and every even-order Z system, with their caps and shifts, is.  Its
@@ -138,6 +143,31 @@ class LocalizingStructure:
         return basis if self.rows is None else basis[self.rows]
 
 
+def _shift_rows(q, k, shifts, support):
+    """The CSR rows <q x^g, y>, one per exponent row g of ``shifts``, over
+    the order-k moments, or with ``support`` (increasing positions) those
+    alone: the entries of every other moment are left out."""
+    n = q.n
+    monos = np.array(list(q.terms), dtype=np.intp).reshape(-1, n)
+    # the graded order is a monomial order: with q's terms sorted by position
+    # once, each row's moments come out sorted, and distinct
+    order = np.argsort(positions(n, 2 * k, monos))
+    monos = monos[order]
+    coefs = np.array(list(q.terms.values()), dtype=float)[order]
+    cols = positions(n, 2 * k, shifts[:, None, :] + monos)
+    num_moments = basis_size(n, 2 * k)
+    if support is not None:
+        column = np.full(num_moments, -1)     # increasing on the support
+        column[support] = np.arange(len(support))
+        cols = column[cols]
+        num_moments = len(support)
+    keep = cols >= 0
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
+    data = np.broadcast_to(coefs, cols.shape)[keep]
+    return scipy.sparse.csr_matrix(
+        (data, cols[keep], indptr), shape=(len(shifts), num_moments))
+
+
 def localizing_structure(q, k, support=None, rows=None):
     """Build the localizing structure of q at order k.
 
@@ -150,32 +180,13 @@ def localizing_structure(q, k, support=None, rows=None):
     if dq > 2 * k:
         raise ValueError(f"polynomial degree {dq} exceeds 2k = {2 * k}")
     n = q.n
-    half = (dq + 1) // 2
-    basis = exponents(n, k - half)
+    basis = exponents(n, k - (dq + 1) // 2)
     if rows is not None:
         basis = basis[rows]
     side = len(basis)
-    monos = np.array(list(q.terms), dtype=np.intp).reshape(-1, n)
-    # the graded order is a monomial order: with q's terms sorted by position
-    # once, each cell's moments come out sorted, and distinct
-    order = np.argsort(positions(n, 2 * k, monos))
-    monos = monos[order]
-    coefs = np.array(list(q.terms.values()), dtype=float)[order]
-    # cell (a, b), term t: the moment of basis[a] + basis[b] + mono_t
-    exps = basis[:, None, None, :] + basis[None, :, None, :] + monos
-    cols = positions(n, 2 * k, exps).reshape(side * side, len(monos))
-    num_moments = basis_size(n, 2 * k)
-    if support is not None:
-        column = np.full(num_moments, -1)     # increasing on the support
-        column[support] = np.arange(len(support))
-        cols = column[cols]
-        num_moments = len(support)
-    keep = cols >= 0
-    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
-    data = np.broadcast_to(coefs, cols.shape)[keep]
-    mat = scipy.sparse.csr_matrix(
-        (data, cols[keep], indptr), shape=(side * side, num_moments))
-    return LocalizingStructure(q=q, k=k, n=n, side=side, num_moments=num_moments,
+    mat = _shift_rows(q, k, (basis[:, None] + basis[None, :]).reshape(side * side, n),
+                      support)
+    return LocalizingStructure(q=q, k=k, n=n, side=side, num_moments=mat.shape[1],
                                matrix=mat, support=support, rows=rows)
 
 
@@ -245,18 +256,6 @@ class ConicProblem:
         return MomentVector(self.n, self.k, values)
 
 
-def _dedupe_rows(rows):
-    """Drop exact duplicate equality rows, keeping first occurrences."""
-    seen = {}
-    keep = []
-    for r in rows:
-        key = r.tobytes()
-        if key not in seen:
-            seen[key] = True
-            keep.append(r)
-    return keep
-
-
 def _independent_rows(L):
     """Indices of a numerically independent subset of rows, in stable order."""
     if L.shape[0] == 0:
@@ -272,20 +271,19 @@ def _independent_rows(L):
 def _equality_system(eqs, k, num_vars, support):
     """Reduced equality rows for <1,y>=1 and all localizing cells.
 
-    With ``support``, the rows are over those moments, and cells with no
-    entry there are left out.
+    Cell (a, b) of L_h is <x^(a+b) h, y>, and the sums of two basis
+    monomials, of degree at most d = k - ceil(deg h / 2), are exactly the
+    monomials of degree at most 2d: one row per such shift g gives the
+    distinct cells of L_h.  With ``support``, the rows are over those
+    moments, and rows with no entry there are left out.  The pivoted QR
+    also drops a row that two h share.
     """
-    # every scalar cell of each equality localizing matrix, upper triangle once
-    raw = []
+    loc = [np.zeros((0, num_vars))]
     for h in eqs:
-        s = localizing_structure(h, k, support)
-        dense = s.matrix.toarray().reshape(s.side, s.side, num_vars)
-        iu, ju = np.triu_indices(s.side)
-        raw.extend(row for row in dense[iu, ju] if row.any())
-    raw = _dedupe_rows(raw)
-    loc = np.array(raw) if raw else np.zeros((0, num_vars))
-    keep = _independent_rows(loc)
-    loc = loc[keep]
+        rows = _shift_rows(h, k, exponents(h.n, 2 * (k - (h.degree + 1) // 2)), support)
+        loc.append(rows[np.diff(rows.indptr) > 0].toarray())
+    loc = np.vstack(loc)
+    loc = loc[_independent_rows(loc)]
 
     unit = np.zeros(num_vars)
     unit[0] = 1.0

@@ -166,16 +166,8 @@ def test_invalid_option_exit2_before_any_sweep(ex51_file, capsys, monkeypatch, f
     assert "must be" in capsys.readouterr().err
 
 
-def test_negative_env_seed_exit2(ex51_file, capsys, monkeypatch):
-    monkeypatch.setenv("TENSOR_SPECTRA_SEED", "-1")
-    monkeypatch.setattr("tensorspectra.cli.full_sweep", _no_sweep)
-    assert run(["zeig", ex51_file]) == 2
-    assert capsys.readouterr().err == "error: TENSOR_SPECTRA_SEED must be >= 0\n"
-
-
-def test_env_seed_override(ex51_file, capsys, monkeypatch):
-    monkeypatch.setenv("TENSOR_SPECTRA_SEED", "11")
-    assert run(["zeig", ex51_file, "--json", "--seed", "4"]) == 0
+def test_seed_flag_in_config_echo(ex51_file, capsys):
+    assert run(["zeig", ex51_file, "--json", "--seed", "11"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["config"]["seed"] == 11
     assert doc["config"]["tol_eq"] == 1e-4

@@ -412,6 +412,17 @@ def test_full_sweep_ex51_z():
     assert all(p.residual <= 1e-7 for p in spec.eigenpairs)
 
 
+def test_close_pair_never_certified_with_one_value():
+    # the H-eigenvalues of diag(1, 1 + 5e-6) are its two diagonal entries;
+    # the backward check after 1 passes within tol_eq of it, so the second
+    # value may be skipped, and such a sweep must not end certified-complete
+    E = np.zeros((2,) * 4)
+    E[0, 0, 0, 0], E[1, 1, 1, 1] = 1.0, 1.0 + 5e-6
+    spec = full_sweep("H", Tensor(E))
+    assert spec.termination != Termination.CERTIFIED_COMPLETE or \
+        np.allclose(spec.values, [1.0, 1.0 + 5e-6], rtol=0.0, atol=1e-8)
+
+
 def test_full_sweep_values_strictly_increasing():
     spec = full_sweep("H", fixtures.ex51())
     vals = spec.values

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 import fixtures
@@ -596,6 +598,53 @@ def test_blocks_keep_exactly_the_rows_below_the_sphere_degree(make, kind):
             red, full = _both(f if not maximize else f.scale(-1.0), hs, ineqs, k, maximize)
             for _whole, parts in _parts_of(red, full, m0):
                 assert all(np.all(part.basis[:, 0] < m0) for part, _rows in parts)
+
+
+def _equality_cells(hs, k, support):
+    """Every non-empty upper-triangle cell of each L_h, read from its matrix."""
+    cells = []
+    for h in hs:
+        s = localizing_structure(h, k, support)
+        dense = s.matrix.toarray().reshape(s.side, s.side, s.num_moments)
+        cells.append(dense[np.triu_indices(s.side)])
+    cells = np.vstack(cells)
+    return cells[cells.any(axis=1)]
+
+
+@pytest.mark.parametrize("kind", ["Z", "H"])
+@pytest.mark.parametrize("make", [c[1] for c in _FIXTURES], ids=[c[0] for c in _FIXTURES])
+def test_equality_rows_span_every_localizing_cell(make, kind):
+    # at k0 and k0 + 1, over the even moments of a sign-invariant system and
+    # over every moment: the rows built from the shifts are cells of the
+    # L_h, and they enforce every cell
+    system = EigenSystem(kind, make())
+    f, hs = system.f, system.h
+    for k in (system.k0, system.k0 + 1):
+        for reduce in (True, False):
+            prob = _build_relaxation(f, hs, [], k, False, None, reduce=reduce)
+            whole = prob.num_vars == basis_size(f.n, 2 * k)
+            cells = _equality_cells(hs, k, None if whole else prob.support)
+            rows = prob.eq_rows[1:]
+            assert all(np.any(np.all(cells == row, axis=1)) for row in rows)
+            basis = scipy.linalg.orth(rows.T)
+            resid = cells - (cells @ basis) @ basis.T
+            assert np.max(np.abs(resid)) <= 1e-9 * np.max(np.abs(cells))
+            assert np.linalg.matrix_rank(cells) == np.linalg.matrix_rank(rows) == len(rows)
+
+
+def test_equality_system_build_memory_is_bounded():
+    # the order-5 relaxation of an m = 4, n = 5 Z system holds 1792 moments
+    # and six equality matrices, the sphere's of side 126: a dense
+    # (side, side, N) array of it alone is 228 MB
+    f, hs = z_system(fixtures.random_tensor(4, 5, (4, 5, 5)))
+    tracemalloc.start()
+    try:
+        prob = build_min_relaxation(f, hs, [], 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prob.num_vars == 1792
+    assert peak < 100e6
 
 
 def _sphere_multiples(n, d, m0):
