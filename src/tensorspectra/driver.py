@@ -47,9 +47,9 @@ can only prove that no eigenvalue exists, and the relaxations are
 nested, so order k0 + 1 proves it too.
 
 Against starting every hierarchy one order below its last success and
-every first check at k0, these rules take 426 solves in place of 501 on
-the Z fixtures, 154 of 196 on the H fixtures and 1096 of 1352 on random
-n = 2 tensors (the benchmark's 237 sweeps; 446, 172 and 1208 with the
+every first check at k0, these rules take 424 solves in place of 499 on
+the Z fixtures, 155 of 197 on the H fixtures and 1096 of 1352 on random
+n = 2 tensors (the benchmark's 237 sweeps; 444, 173 and 1208 with the
 smallest-eigenvalue hierarchy at k0), with the same outputs; a random
 m = 4, n = 4 H tensor takes 17 solves in place of 22.  Never probing
 lower saves more on small tensors, but that H sweep then solves 10

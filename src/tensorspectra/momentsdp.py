@@ -28,7 +28,7 @@ only: the equality rows of even support, and the same blocks with their
 columns restricted to those moments.  The problem records the positions
 of its variables in the full moment vector and lifts a solution back with
 the odd moments at zero.  ex56 H at k = 6 shrinks from 455 moments and
-248 equality rows to 252 and 128.
+271 equality rows to 252 and 135.
 
 Every Z and H relaxation holds the sphere sum_i x_i^m0 = 1, m0 even, and
 every cell of its localizing matrix as an equality row, so every feasible
@@ -46,10 +46,10 @@ vector on the kept rows plus a combination of them, and a block is PSD
 exactly when its principal submatrix on the kept rows is.  This is
 facial reduction of the moment cone (Permenter and Parrilo, "Partial
 facial reduction", Math. Program. 171, 2018), exact given the sphere
-rows, which hold up to the rows dropped as dependent to EQ_RANK_TOL.  A
-relaxation without the sphere keeps every row.  Each block is built on
-its kept rows alone and records them (``rows``); ex56 H's moment block at
-k = 6 keeps 74 of its 84 rows.
+rows, every one of which the relaxation states.  A relaxation without
+the sphere keeps every row.  Each block is built on its kept rows alone
+and records them (``rows``); ex56 H's moment block at k = 6 keeps 74 of
+its 84 rows.
 
 Over the even-degree moments, cell (a, b) of a block of a sign-invariant
 relaxation holds moments of degree deg a + deg b plus an even number, so
@@ -71,12 +71,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .poly import Polynomial, basis_size, exponents, positions
 
-EQ_RANK_TOL = 1e-10  # relative QR threshold for dropping dependent equality rows
 SPLIT_MIN_SIDE = 30  # smallest block side split by degree parity (module docstring)
 
 
@@ -214,18 +212,20 @@ class ConicProblem:
     minimize (or maximize)  c . y
     s.t.  eq_rows y = eq_rhs,  each block_j(y) is PSD,
 
-    where block_j(y) reshapes ``blocks[j].matrix @ y``.  When the equality
-    system alone is inconsistent, ``farkas_mu`` carries a combination of
-    equality rows proving it.  ``support`` holds the positions of the
-    variables in the full moment vector of order k, every position when
-    left out.  ``moment_bound`` is an a priori bound on |y_alpha| over
-    every feasible y, or None when none is known: 1.0 for a relaxation
-    with the equality sum_i x_i^d - 1, d even (see :mod:`sdpsolver`).
+    where block_j(y) reshapes ``blocks[j].matrix @ y``.  ``eq_rows`` holds
+    the unit row and every nonempty localizing cell, dependent rows too;
+    the solver drops those, and proves an inconsistent system infeasible
+    (:mod:`sdpsolver`).  ``support`` holds the positions of the variables
+    in the full moment vector of order k, every position when left out.
+    ``moment_bound`` is an a priori bound on |y_alpha| over every feasible
+    y, or None when none is known: 1.0 for a relaxation with the equality
+    sum_i x_i^d - 1, d even (see :mod:`sdpsolver`).
     ``workspace`` holds the solver's read-only copy of this data, made from
     it on first use by ``sdpsolver.solve`` or ``sdpsolver.verify_solution``.
     ``eq_factors``, a dict shared by every relaxation of one order and sign
-    invariance in one store, holds the solver's factors of ``eq_rows`` (see
-    ``sdpsolver._equality_factors``); with None each solve factors its own.
+    invariance in one store, holds the solver's factors of ``eq_rows`` and
+    their Farkas combination, if any (see ``sdpsolver._equality_factors``);
+    with None each solve factors its own.
     """
 
     n: int
@@ -235,7 +235,6 @@ class ConicProblem:
     eq_rhs: np.ndarray
     blocks: list
     maximize: bool = False
-    farkas_mu: np.ndarray | None = None
     support: np.ndarray | None = None
     moment_bound: float | None = None
     eq_factors: dict | None = field(default=None, repr=False, compare=False)
@@ -256,50 +255,28 @@ class ConicProblem:
         return MomentVector(self.n, self.k, values)
 
 
-def _independent_rows(L):
-    """Indices of a numerically independent subset of rows, in stable order."""
-    if L.shape[0] == 0:
-        return []
-    _, R, piv = scipy.linalg.qr(L.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        return []
-    rank = int(np.sum(diag > EQ_RANK_TOL * diag[0]))
-    return sorted(piv[:rank])
-
-
 def _equality_system(eqs, k, num_vars, support):
-    """Reduced equality rows for <1,y>=1 and all localizing cells.
+    """Equality rows for <1,y>=1 and all localizing cells.
 
     Cell (a, b) of L_h is <x^(a+b) h, y>, and the sums of two basis
     monomials, of degree at most d = k - ceil(deg h / 2), are exactly the
     monomials of degree at most 2d: one row per such shift g gives the
     distinct cells of L_h.  With ``support``, the rows are over those
-    moments, and rows with no entry there are left out.  The pivoted QR
-    also drops a row that two h share.
+    moments, and rows with no entry there are left out.  Every other row
+    is kept, a dependent one or one that two h share too: the solver
+    finds the rank, and any inconsistency, in its one factorization of
+    the rows (:mod:`sdpsolver`).
     """
-    loc = [np.zeros((0, num_vars))]
+    unit = np.zeros((1, num_vars))
+    unit[0, 0] = 1.0
+    eq_rows = [unit]
     for h in eqs:
         rows = _shift_rows(h, k, exponents(h.n, 2 * (k - (h.degree + 1) // 2)), support)
-        loc.append(rows[np.diff(rows.indptr) > 0].toarray())
-    loc = np.vstack(loc)
-    loc = loc[_independent_rows(loc)]
-
-    unit = np.zeros(num_vars)
-    unit[0] = 1.0
-    farkas_mu = None
-    if loc.shape[0]:
-        # a unit row reachable from homogeneous rows means <1,y>=1 is
-        # unsatisfiable; record the combination as a Farkas certificate
-        w, *_ = np.linalg.lstsq(loc.T, unit, rcond=None)
-        resid = np.max(np.abs(loc.T @ w - unit))
-        if resid <= 1e-9 * max(1.0, np.max(np.abs(w))):
-            farkas_mu = np.concatenate(([1.0], -w))
-
-    eq_rows = np.vstack([unit[None, :], loc])
+        eq_rows.append(rows[np.diff(rows.indptr) > 0].toarray())
+    eq_rows = np.vstack(eq_rows)
     eq_rhs = np.zeros(eq_rows.shape[0])
     eq_rhs[0] = 1.0
-    return eq_rows, eq_rhs, farkas_mu
+    return eq_rows, eq_rhs
 
 
 def _parity(p):
@@ -406,14 +383,13 @@ def _build_relaxation(f, eqs, ineqs, k, maximize, store, reduce=True):
                 if a is not None:
                     a.flags.writeable = False
         store[k, invariant, m0] = moments, eq_system, {}
-    moments, (eq_rows, eq_rhs, farkas_mu), eq_factors = store[k, invariant, m0]
+    moments, (eq_rows, eq_rhs), eq_factors = store[k, invariant, m0]
 
     blocks = list(moments)
     for g in ineqs:
         blocks.extend(_blocks(g, k, support, m0, invariant))
     return ConicProblem(n=n, k=k, c=c, eq_rows=eq_rows, eq_rhs=eq_rhs,
-                        blocks=blocks, maximize=maximize, farkas_mu=farkas_mu,
-                        support=support,
+                        blocks=blocks, maximize=maximize, support=support,
                         moment_bound=None if store["sphere"] is None else 1.0,
                         eq_factors=eq_factors)
 
@@ -424,10 +400,10 @@ def build_min_relaxation(f, eqs, ineqs, k, store=None):
     ``store``, a dict shared only by relaxations with the same eqs, keeps
     the sphere's degree m0, which sets the moment bound and the rows each
     block keeps, and per order k (and per sign invariance, see the module
-    docstring) the moment block (or its parity parts), the reduced
-    equality system and the solver's factors of it (``eq_factors``).  The
-    arrays it shares are read-only; without a store, every array is the
-    relaxation's own.
+    docstring) the moment block (or its parity parts), the equality
+    system and the solver's factors of it (``eq_factors``).  The arrays it
+    shares are read-only; without a store, every array is the relaxation's
+    own.
     """
     return _build_relaxation(f, eqs, ineqs, k, False, store)
 

@@ -17,45 +17,49 @@ sum_j <S_j, Z_j> + tau*kappa = 0, so either tau > 0 (scaled optimum) or
 kappa > 0 (infeasibility ray).  Search directions use Nesterov-Todd
 scaling with a Mehrotra predictor-corrector.
 
-Each solve eliminates every equality row exactly, through one QR
-factorization of G^T: it gives (G^+)^T, so y0 = G^+ b, the least-norm
-solution of G y0 = b, and an orthonormal basis B of the null space of G.
-The relaxations of one order and sign invariance in a sweep share their
-equality system, and with it these two factors (``eq_factors``, see
-:mod:`momentsdp`), so a sweep factors each of its systems once; each
-solve still forms y0 from its own b.  The iteration starts at y = y0
-with tau = 1 and takes every step as dy = B z + dtau y0, so G y = b tau
-holds to rounding at every iterate; the primal residual keeps
-G y - b tau only to show that rounding.  The reduced system is the Schur
-matrix K = B^T Phi B of z alone, of side m = N - p, assembled from each
-block's operator projected onto B.  K is LU-factorized densely and in
-place, with static regularization on its diagonal, and each solution is
-one getrs.  K is symmetric positive definite, yet a Cholesky
-factorization in its place ends a reduced order-5 relaxation of ex55 H
-INACCURATE, where the LU converges.  When N = p the rows fix every step,
-and nothing is factored.  The multipliers are no iterate: each iteration
-reads them off the dual equation, as its least-squares solution
-mu = (G^+)^T (c tau - sum_j adj_j(Z_j)), so the dual residual is the
-part of the dual equation in the null space of G, and a step needs only
-b.dmu = y0.(G^T dmu).  Every product with
-Phi v = sum_j adj_j(W_j^-1 mat_j(v) W_j^-1), W_j the NT scaling of block
-j, is one adjoint through W_j^-1, formed once per iteration; the scaled
-projected operators serve only to assemble the Schur matrix B^T Phi B,
-one block at a time in one buffer.  Step lengths come from the NT-scaled
-directions Ds = Rinv dS Rinv^T and Dz = R^T dZ R, which the step
-equations already form, with no factorization of S or Z: the corrector
-takes one symmetric eigenvalue call per scaled matrix.  The predictor's
-right-hand side is -diag(sig), so its Ds is -diag(sig) - Dz: one
-eigenvalue call per block bounds both of its sides, and its gap is
-(1 - a) sig.sig + a^2 <Ds, Dz>, so the predictor forms neither dS nor
-dZ.  A direction that is not finite gets step 0, which ends the solve
-with its best iterate.  A relaxation over part of the moments needs no
-branch here, nor does one whose blocks keep only the sphere's standard
-monomials or are split by degree parity (see :mod:`momentsdp`): the
-solver sees smaller blocks, each with its own NT scaling.  A
-block-diagonal matrix is PSD exactly when each of its diagonal blocks
-is, and, given the sphere rows, a block is PSD exactly when its
-principal submatrix on the kept rows is (Theorem below), so
+Each solve eliminates every equality row exactly, through one pivoted QR
+factorization of G^T.  G holds every localizing cell, dependent rows
+too, and the factorization finds its rank (:func:`_equality_factors`):
+it gives (G^+)^T, so y0 = G^+ b, a solution of G y0 = b, an orthonormal
+basis B of the null space of G, and, when a dependent row's right-hand
+side disagrees with the rows it depends on, a combination mu of the rows
+that proves G y = b inconsistent, returned as a PRIMAL_INFEASIBLE ray
+with every Z_j zero and no iteration.  The relaxations of one order and
+sign invariance in a sweep share their equality system, and with it
+these factors (``eq_factors``, see :mod:`momentsdp`), so a sweep factors
+each of its systems once; each solve still forms y0 from its own b.  The
+iteration starts at y = y0 with tau = 1 and takes every step as
+dy = B z + dtau y0, so G y = b tau holds to rounding at every iterate;
+the primal residual keeps G y - b tau only to show that rounding.  The
+reduced system is the Schur matrix K = B^T Phi B of z alone, of side
+m = N - rank G, assembled from each block's operator projected onto B.
+K is LU-factorized densely and in place, with static regularization on
+its diagonal, and each solution is one getrs.  K is symmetric positive
+definite, yet a Cholesky factorization in its place ends a reduced
+order-5 relaxation of ex55 H INACCURATE, where the LU converges.  When G
+has rank N the rows fix every step, and nothing is factored.  The
+multipliers are no iterate: each iteration reads them off the dual
+equation, as its least-squares solution mu = (G^+)^T (c tau -
+sum_j adj_j(Z_j)), so the dual residual is the part of the dual equation
+in the null space of G, and a step needs only b.dmu = y0.(G^T dmu).
+Every product with Phi v = sum_j adj_j(W_j^-1 mat_j(v) W_j^-1), W_j the
+NT scaling of block j, is one adjoint through W_j^-1, formed once per
+iteration; the scaled projected operators serve only to assemble the
+Schur matrix B^T Phi B, one block at a time in one buffer.  Step lengths
+come from the NT-scaled directions Ds = Rinv dS Rinv^T and
+Dz = R^T dZ R, which the step equations already form, with no
+factorization of S or Z: the corrector takes one symmetric eigenvalue
+call per scaled matrix.  The predictor's right-hand side is -diag(sig),
+so its Ds is -diag(sig) - Dz: one eigenvalue call per block bounds both
+of its sides, and its gap is (1 - a) sig.sig + a^2 <Ds, Dz>, so the
+predictor forms neither dS nor dZ.  A direction that is not finite gets
+step 0, which ends the solve with its best iterate.  A relaxation over
+part of the moments needs no branch here, nor does one whose blocks keep
+only the sphere's standard monomials or are split by degree parity (see
+:mod:`momentsdp`): the solver sees smaller blocks, each with its own NT
+scaling.  A block-diagonal matrix is PSD exactly when each of its
+diagonal blocks is, and, given the sphere rows, a block is PSD exactly
+when its principal submatrix on the kept rows is (Theorem below), so
 :func:`verify_solution` checks the same conditions on the blocks the
 solver sees.  The scaling of the projected operators and the Schur
 products cost in proportion to the sum of the squared block sides:
@@ -106,17 +110,18 @@ A solve that ends without converging returns its best iterate, with
 ``iterations`` the steps it ran and ``best_iteration`` the step count at
 that iterate.
 
-The iteration's tolerances are module constants: EPS_FEAS and EPS_GAP
-define an optimum, TAU_KAPPA_TOL an infeasibility ray, STATIC_REG
-regularizes the reduced system, STEP_FRAC damps each step, and
-INACCURATE_TOL separates an INACCURATE best iterate from an
+The iteration's tolerances are module constants: EQ_RANK_TOL sets the
+rank of G and EQ_GAP_TOL an inconsistent right-hand side, EPS_FEAS and
+EPS_GAP define an optimum, TAU_KAPPA_TOL an infeasibility ray,
+STATIC_REG regularizes the reduced system, STEP_FRAC damps each step,
+and INACCURATE_TOL separates an INACCURATE best iterate from an
 ITERATION_LIMIT one.  :func:`verify_solution` checks a moment vector y
 with VERIFY_FEAS and VERIFY_PSD, and proves with MOMENT_MARGIN.
 :class:`SolverOptions` holds only the iteration budget ``max_iter``.
 
-The solver returns a dual ray only once tau has collapsed against kappa,
-with G^T mu + sum_j adj_j(Z_j) within EPS_FEAS of zero relative to the
-ray's norm, scaled to b.mu = 1.
+Past the equalities' own certificate, the solver returns a dual ray only
+once tau has collapsed against kappa, with G^T mu + sum_j adj_j(Z_j)
+within EPS_FEAS of zero relative to the ray's norm, scaled to b.mu = 1.
 
 A status is advice, not proof.  :func:`verify_solution` reads it only to
 choose the check: a PRIMAL_INFEASIBLE result is checked as a dual ray,
@@ -175,9 +180,9 @@ the 1-norm, a bound from the terms' magnitudes and counts (see
 :func:`_slack`), so the slack takes ||r||_1 + rho: 8.3e-8 and 2.2e-7 on
 the largest certificates the sweep meets (the ex56 Z rays at k = 5 and 6,
 norm 3.8e6 at k = 6), against b.mu = 1.  Y = moment_bound + MOMENT_MARGIN;
-the margin stands for the equality rows that :mod:`momentsdp` drops as
-dependent only to EQ_RANK_TOL, on which the first step of the proof
-rests too, and for the rounding of the slack's own sums.
+the margin stands for the rounding of the slack's own sums.  G holds
+every row the relaxation states, so the proof rests on no row that the
+solver drops as dependent: the check reads all of G.
 """
 
 from __future__ import annotations
@@ -208,6 +213,9 @@ INACCURATE_TOL = 1e-4    # merit of a best iterate still reported INACCURATE
 VERIFY_FEAS = 1e-6       # verify_solution's feasibility tolerance on y
 VERIFY_PSD = 1e-7        # verify_solution's eigenvalue tolerance on y
 MOMENT_MARGIN = 1e-6     # added to the a priori moment bound (module docstring)
+EQ_RANK_TOL = 1e-10      # |R_ll| below this times |R_00| drops row l of G as dependent
+EQ_GAP_TOL = 1e-9        # relative right-hand-side gap of a dropped row that proves
+                         # G y = b inconsistent (see _equality_factors)
 
 
 @dataclass
@@ -469,24 +477,51 @@ def _workspace(problem):
 
 
 def _equality_factors(ws, shared):
-    """B, an orthonormal basis of the null space of G, and (G^+)^T.
+    """B, an orthonormal basis of the null space of G, (G^+)^T, and a Farkas
+    combination mu of the rows of G, or None when G y = b is consistent.
 
-    One QR factorization of G^T = [Q_1 B] [R_G; 0] gives both.  ``shared``
-    is the problem's ``eq_factors``: a dict that every relaxation of one
-    order and sign invariance of a sweep holds (:mod:`momentsdp`), or None.
-    The first solve fills it, with the G it factored, and a later one reuses
-    the factors only when its own G is equal.  Both factors are read-only,
-    and B is copied out of Q, so that Q is freed.
+    One pivoted QR factorization G^T P = Q [R_11 R_12; 0 R_22] gives all
+    three.  Its rank r counts the |R_ll| above EQ_RANK_TOL |R_00|: the
+    first r pivots are the kept rows, and every dropped row j is the
+    combination W_j = (R_11^-1 R_12)_j of them, up to the neglected R_22.
+    B is Q[:, r:], and (G^+)^T is R_11^-1 Q[:, :r]^T on the kept rows and
+    zero on the dropped ones.  A dropped row whose b_j differs from
+    W_j.b_kept gives mu = e_j - W_j on the kept rows, over that gap:
+    b.mu = 1, and G^T mu is the neglected part of row j over the gap.  The
+    one of least 1-norm, (1 + |W_j|_1) / |gap|, counts when its gap
+    exceeds EQ_GAP_TOL (1 + |W_j|_1) max|b|.
+
+    ``shared`` is the problem's ``eq_factors``: a dict that every
+    relaxation of one order and sign invariance of a sweep holds
+    (:mod:`momentsdp`), or None.  The first solve fills it, with the G it
+    factored, and a later one reuses the factors only when its own G is
+    equal.  Every factor is read-only, and B is copied out of Q, so that Q
+    is freed.
     """
     if shared and np.array_equal(shared["G"], ws.G):
-        return shared["B"], shared["pinv_t"]
-    Q, R_G = scipy.linalg.qr(ws.G.T)
-    B = np.array(Q[:, ws.p:], order="F")
-    pinv_t = scipy.linalg.solve_triangular(R_G[:ws.p], Q[:, :ws.p].T)
+        return shared["B"], shared["pinv_t"], shared["farkas"]
+    Q, R, piv = scipy.linalg.qr(ws.G.T, pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > EQ_RANK_TOL * diag[0])) if diag.size else 0
+    kept, dropped = piv[:rank], piv[rank:]
+    B = np.array(Q[:, rank:], order="F")
+    pinv_t = np.zeros((ws.p, ws.N))
+    pinv_t[kept] = scipy.linalg.solve_triangular(R[:rank, :rank], Q[:, :rank].T)
+    W = scipy.linalg.solve_triangular(R[:rank, :rank], R[:rank, rank:])
+    # the strength of each dropped row's certificate: 1 / ||mu||_1
+    strength = np.abs(ws.b[dropped] - ws.b[kept] @ W) / (1.0 + np.abs(W).sum(axis=0))
+    farkas = None
+    if dropped.size and strength.max() > EQ_GAP_TOL * np.max(np.abs(ws.b)):
+        j = np.argmax(strength)
+        farkas = np.zeros(ws.p)
+        farkas[dropped[j]] = 1.0
+        farkas[kept] = -W[:, j]
+        farkas /= ws.b @ farkas
+        _read_only(farkas)
     _read_only(B, pinv_t)
     if shared is not None and not shared:
-        shared.update(G=ws.G, B=B, pinv_t=pinv_t)
-    return B, pinv_t
+        shared.update(G=ws.G, B=B, pinv_t=pinv_t, farkas=farkas)
+    return B, pinv_t, farkas
 
 
 def solve(problem, options=None):
@@ -495,27 +530,29 @@ def solve(problem, options=None):
     The reported objective is in the problem's stated sense (max problems
     report the maximum).  Statuses follow :class:`SolveStatus`; OPTIMAL and
     PRIMAL_INFEASIBLE satisfy the invariants checked by
-    :func:`verify_solution`.  ``eq_duals`` is the least-squares solution mu
+    :func:`verify_solution`.  ``eq_duals`` is a least-squares solution mu
     of G^T mu = c - sum_j adj_j(Z_j) for the returned ``block_duals`` Z_j,
-    computed from the iterate as (G^+)^T (c - sum_j adj_j(Z_j)), with
-    (G^+)^T from one QR factorization of G^T that the relaxations sharing
-    the problem's ``eq_factors`` and its G share too.
+    zero on the rows of G that depend on the others, computed from the
+    iterate as (G^+)^T (c - sum_j adj_j(Z_j)), with (G^+)^T from one
+    pivoted QR factorization of G^T that the relaxations sharing the
+    problem's ``eq_factors`` and its G share too.  When that factorization
+    shows G y = b inconsistent, the result is PRIMAL_INFEASIBLE after no
+    iteration, with the combination of rows it found as ``mu`` and every
+    block of the certificate zero.
     """
     opts = options or SolverOptions()
     ws = _workspace(problem)
     cone = ws.cone
 
-    if problem.farkas_mu is not None:
-        cert = {"mu": problem.farkas_mu.copy(),
-                "blocks": [np.zeros((q, q)) for q in cone.sides]}
-        return ConicSolution(status=SolveStatus.PRIMAL_INFEASIBLE, certificate=cert,
-                             metrics={"iterations": 0, "reason": "inconsistent-equalities"})
-
     # Every equality row is eliminated exactly: y starts at y0 with G y0 = b
     # and tau = 1, every step is dy = B z + dtau y0, so G y = b tau holds to
-    # rounding at every iterate, and the multipliers are the least-squares
+    # rounding at every iterate, and the multipliers are a least-squares
     # solution of the dual equation.
-    B, pinv_t = _equality_factors(ws, problem.eq_factors)
+    B, pinv_t, farkas = _equality_factors(ws, problem.eq_factors)
+    if farkas is not None:
+        cert = {"mu": farkas.copy(), "blocks": [np.zeros((q, q)) for q in cone.sides]}
+        return ConicSolution(status=SolveStatus.PRIMAL_INFEASIBLE, certificate=cert,
+                             metrics={"iterations": 0, "reason": "inconsistent-equalities"})
     m = B.shape[1]
     y0 = pinv_t.T @ ws.b                                            # G y0 = b
     Btc = B.T @ ws.c
@@ -621,7 +658,7 @@ def solve(problem, options=None):
         sig = np.concatenate([s for _R, _Rinv, s in scalings])
         h = sig ** -0.5
         hh = h[cone.row] * h[cone.col]
-        if m:        # else N = p: the equalities fix every step, and K is empty
+        if m:        # else rank G = N: the equalities fix every step, and K is empty
             # column-major, so that getrf factors it in place
             K = np.zeros((m, m), order="F")
             _schur(reduced_ops, Rinvs, Rinvts, scaled_buf, K)

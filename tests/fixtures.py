@@ -117,6 +117,14 @@ def ex57(n):
     return Tensor(E)
 
 
+# (label, maker) of every fixture of the paper's examples 5.1 to 5.7 that
+# the sweeps run
+SWEPT = [("ex51", ex51), ("ex52", ex52), ("ex53", ex53),
+         ("ex54(2)", lambda: ex54(2)), ("ex54(3)", lambda: ex54(3)),
+         ("ex54(4)", lambda: ex54(4)), ("ex55", ex55),
+         ("ex56", ex56), ("ex57(2)", lambda: ex57(2))]
+
+
 def random_tensor(m, n, seed):
     """Standard normal entries from a fixed-seed generator."""
     rng = np.random.default_rng(seed)

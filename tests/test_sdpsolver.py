@@ -8,14 +8,15 @@ import scipy.linalg
 import scipy.sparse
 
 import fixtures
-from tensorspectra.driver import Termination, full_sweep, h_system, z_system
-from tensorspectra.momentsdp import (ConicProblem, LocalizingStructure,
+from tensorspectra.driver import EigenSystem, Termination, full_sweep, h_system, z_system
+from tensorspectra.momentsdp import (ConicProblem, LocalizingStructure, _build_relaxation,
                                      build_max_relaxation,
                                      build_min_relaxation, moment_structure,
                                      moment_vector_of_point)
 from tensorspectra.oracle import brute_z_n2
 from tensorspectra.poly import Polynomial
-from tensorspectra.sdpsolver import (EPS_FEAS, EPS_GAP, SolveStatus, SolverOptions, _Cone,
+from tensorspectra.sdpsolver import (EPS_FEAS, EPS_GAP, EQ_RANK_TOL, SolveStatus,
+                                     SolverOptions, _Cone, _equality_factors,
                                      _nt_scaling, _predictor_gap, _predictor_step,
                                      _scaled_step, _schur, _Workspace, solve,
                                      verify_solution)
@@ -282,7 +283,7 @@ def test_solution_metrics_present():
 
 
 def test_equalities_pin_every_moment():
-    # N - p = 0: no moment is left free by the equality rows
+    # rank G = N: no moment is left free by the equality rows
     prob = ConicProblem(n=1, k=1, c=np.array([0.0, 0.0, 1.0]), eq_rows=np.eye(3),
                         eq_rhs=np.array([1.0, 0.5, 1.0]), blocks=[moment_structure(1, 1)])
     sol = solve(prob)
@@ -291,25 +292,15 @@ def test_equalities_pin_every_moment():
     assert verify_solution(prob, sol)["ok"]
 
 
-@pytest.mark.parametrize("name,kind,k", [("ex51", "H", 4), ("ex56", "H", 5), ("ex56", "Z", 4)],
-                         ids=["ex51-H", "ex56-H", "ex56-Z"])
-def test_permuted_and_rescaled_rows_prove_the_same_bound(name, kind, k):
-    # permuting the equality rows and scaling each by a factor in [0.5, 2]
-    # changes the QR factors the solver eliminates them with, but not the
-    # relaxation.  Each OPTIMAL solve puts the optimum between its proven
-    # bound and its c.y, an interval no wider than the stopping rule allows
-    # (see test_reduced_relaxation_matches_full), so the two bounds agree
-    # within the wider of the two intervals
-    A = getattr(fixtures, name)()
-    f, hs = z_system(A) if kind == "Z" else h_system(A)[:2]
-    prob = build_min_relaxation(f, hs, [], k)
-    rng = np.random.default_rng(k)
-    perm = rng.permutation(prob.eq_rows.shape[0])
-    scale = rng.uniform(0.5, 2.0, perm.size)
-    moved = replace(prob, eq_rows=prob.eq_rows[perm] * scale[:, None],
-                    eq_rhs=prob.eq_rhs[perm] * scale)
+def _assert_same_bound(*probs):
+    """Each problem solves OPTIMAL, and the bounds they prove agree.
+
+    Each OPTIMAL solve puts the optimum between its proven bound and its
+    c.y, an interval no wider than the stopping rule allows (see
+    test_reduced_relaxation_matches_full), so the bounds of one relaxation
+    agree within the widest of the intervals."""
     bounds, widths = [], []
-    for p in (prob, moved):
+    for p in probs:
         sol = solve(p)
         assert sol.status is SolveStatus.OPTIMAL
         report = verify_solution(p, sol)
@@ -319,7 +310,85 @@ def test_permuted_and_rescaled_rows_prove_the_same_bound(name, kind, k):
         assert p.c @ sol.y - report["bound"] <= width
         bounds.append(report["bound"])
         widths.append(width)
-    assert abs(bounds[1] - bounds[0]) <= max(widths)
+    assert max(bounds) - min(bounds) <= max(widths)
+
+
+@pytest.mark.parametrize("name,kind,k", [("ex51", "H", 4), ("ex56", "H", 5), ("ex56", "Z", 4)],
+                         ids=["ex51-H", "ex56-H", "ex56-Z"])
+def test_permuted_and_rescaled_rows_prove_the_same_bound(name, kind, k):
+    # permuting the equality rows and scaling each by a factor in [0.5, 2]
+    # changes the QR factors the solver eliminates them with, but not the
+    # relaxation
+    A = getattr(fixtures, name)()
+    f, hs = z_system(A) if kind == "Z" else h_system(A)[:2]
+    prob = build_min_relaxation(f, hs, [], k)
+    rng = np.random.default_rng(k)
+    perm = rng.permutation(prob.eq_rows.shape[0])
+    scale = rng.uniform(0.5, 2.0, perm.size)
+    moved = replace(prob, eq_rows=prob.eq_rows[perm] * scale[:, None],
+                    eq_rhs=prob.eq_rhs[perm] * scale)
+    _assert_same_bound(prob, moved)
+
+
+def test_dependent_rows_prove_the_same_bound_as_their_independent_twin():
+    # the ex51 H minimization at order 4 has 10 independent equality rows;
+    # a copy of row 3 and the sum of rows 1 and 2, put first, change the
+    # rows the pivoted QR keeps, but not the relaxation
+    f, hs = h_system(fixtures.ex51())[:2]
+    twin = build_min_relaxation(f, hs, [], 4)
+    G, b = twin.eq_rows, twin.eq_rhs
+    assert np.linalg.matrix_rank(G) == G.shape[0] == 10
+    extra = np.array([G[3], G[1] + G[2]])
+    prob = replace(twin, eq_rows=np.vstack([extra, G]),
+                   eq_rhs=np.concatenate([[b[3], b[1] + b[2]], b]))
+    B, _pinv_t, farkas = _equality_factors(_Workspace(prob), None)
+    assert farkas is None and B.shape[1] == twin.num_vars - 10
+    _assert_same_bound(twin, prob)
+
+
+def test_inconsistent_equalities_end_on_a_proven_ray_without_iterating():
+    # over the moments (y0, y1, y2) of n = 1, k = 1: y0 = 1, y0 - y2 = 0 and
+    # y2 = 0, so the unit row is the sum of the other two, and their right-
+    # hand sides disagree.  The only combination is mu = (1, 1, -1), b.mu = 1
+    G = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    prob = ConicProblem(n=1, k=1, c=np.array([0.0, 1.0, 0.0]), eq_rows=G,
+                        eq_rhs=np.array([1.0, 0.0, 0.0]), blocks=[moment_structure(1, 1)],
+                        moment_bound=1.0)
+    sol = solve(prob)
+    assert sol.status is SolveStatus.PRIMAL_INFEASIBLE
+    assert sol.iterations == 0
+    assert np.allclose(sol.certificate["mu"], [1.0, 1.0, -1.0], rtol=0.0, atol=1e-15)
+    report = verify_solution(prob, sol)
+    assert report["ok"], report
+    assert report["farkas_bmu"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kind", ["Z", "H"])
+@pytest.mark.parametrize("make", [c[1] for c in fixtures.SWEPT],
+                         ids=[c[0] for c in fixtures.SWEPT])
+def test_equality_factors_of_every_cell(make, kind):
+    # at k0 and k0 + 1, over the even moments of a sign-invariant system and
+    # over every moment, G holds every localizing cell, and at k0 + 1 some
+    # of them depend on the others.  The kept rows are independent and span
+    # every row: each row of G B is within the pivoted QR's threshold
+    # EQ_RANK_TOL max_i |G_i|, B^T B = I, and (G^+)^T inverts G on the kept
+    # rows and is zero on the others
+    system = EigenSystem(kind, make())
+    for k in (system.k0, system.k0 + 1):
+        for reduce in (True, False):
+            prob = _build_relaxation(system.f, system.h, [], k, False, None, reduce=reduce)
+            G = prob.eq_rows
+            B, pinv_t, farkas = _equality_factors(_Workspace(prob), None)
+            assert farkas is None
+            rank = prob.num_vars - B.shape[1]
+            kept = np.flatnonzero(np.any(pinv_t != 0.0, axis=1))
+            assert len(kept) == rank == np.linalg.matrix_rank(G[kept])
+            assert np.linalg.matrix_rank(G) == rank
+            assert np.linalg.norm(G @ B, axis=1).max() <= \
+                EQ_RANK_TOL * np.linalg.norm(G, axis=1).max()
+            assert np.max(np.abs(B.T @ B - np.eye(B.shape[1]))) <= 1e-13
+            assert np.max(np.abs(G[kept] @ pinv_t[kept].T - np.eye(rank))) <= 1e-10
+            assert np.max(np.abs(G @ (pinv_t.T @ prob.eq_rhs) - prob.eq_rhs)) <= 1e-12
 
 
 def test_moment_in_no_block():
