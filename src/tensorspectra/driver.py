@@ -26,34 +26,38 @@ value the sweep compares holds for the exact relaxation, up to the
 margin stated in :mod:`sdpsolver`.
 
 Each family of hierarchies, the minimizations and the backward checks,
-starts where the last one of its family succeeded.  When that one
-solved lower orders before it succeeded at order k, the next starts at
-k; when the first order it tried succeeded, the next probes one order
-lower, max(k0, k - 1).  The first backward check starts at the order
-that found the smallest eigenvalue.  Once a check passes at order k, the
-shifted minimization over the gap starts at order k or above: below it,
-that relaxation tends to return the gap's boundary value lam_i + delta
-and escalate anyway.
+starts at k0 + 1, within the order budget, and then where the last one
+of its family succeeded.  When that one solved lower orders before it
+succeeded at order k, the next starts at k; when the first order it
+tried succeeded, the next probes one order lower, max(k0, k - 1).  Once
+a check passes at order k, the shifted minimization over the gap starts
+at order k or above: below it, that relaxation tends to return the
+gap's boundary value lam_i + delta and escalate anyway.
 
-The smallest-eigenvalue hierarchy starts at k0, or at k0 + 1 when the
-system is sign-invariant (:func:`momentsdp.sign_invariant`, and below)
-and the order budget reaches it; the skipped k0 counts as a failed
-order.  At order k0, flat truncation needs rank M_k0(y) = rank M_0(y)
-= 1.  The lifted y has every odd moment at zero, and a rank-one moment
-matrix with zero first moments is the origin's, whose moments break
+For the minimizations of a sign-invariant system
+(:func:`momentsdp.sign_invariant`, and below) k0 + 1 is proven.  At
+order k0, flat truncation needs rank M_k0(y) = rank M_0(y) = 1.  The
+lifted y has every odd moment at zero, and a rank-one moment matrix with
+zero first moments is the origin's, whose moments break
 sum_i x_i^m0 = 1: no feasible y flattens at k0 (a numerical rank-one
 reading extracts the point 0, which normalization rejects).  That solve
 can only prove that no eigenvalue exists, and the relaxations are
 nested, so order k0 + 1 proves it too.
+For the odd-order Z systems, the others, k0 + 1 is measured, not
+proven: their order-k0 minimization can extract an eigenvalue, but the
+first check then fails at k0 and runs again one order up; with
+``nonneg``, none of the six odd-order Z fixtures concludes at k0.  So a
+budget of kmax_offset = 1 leaves an odd-order Z sweep one order for its
+smallest eigenvalue; kmax_offset = 0 still solves k0.
 
-Against starting every hierarchy one order below its last success and
-every first check at k0, these rules take 424 solves in place of 499 on
-the Z fixtures, 155 of 197 on the H fixtures and 1096 of 1352 on random
-n = 2 tensors (the benchmark's 237 sweeps; 444, 173 and 1208 with the
-smallest-eigenvalue hierarchy at k0), with the same outputs; a random
-m = 4, n = 4 H tensor takes 17 solves in place of 22.  Never probing
-lower saves more on small tensors, but that H sweep then solves 10
-relaxations with N = 1036 in place of 6 and takes a third longer.
+Over the benchmark's 237 sweeps these rules take 394 solves on the Z
+fixtures, 155 on the H fixtures and 1056 on random n = 2 tensors, with
+the same outputs as starting the first minimization at k0 unless the
+system is sign-invariant and the first check at the order that found
+the smallest eigenvalue (424, 155 and 1096 solves).  Never probing
+lower takes 359, 138 and 952, but a random m = 4, n = 4 H tensor then
+solves 10 relaxations with N = 1036 in place of 6 and takes half as
+long again.
 
 Every H system and every even-order Z system is unchanged under u -> -u,
 so its relaxations are built over the even-degree moments only, with
@@ -82,7 +86,7 @@ import numpy as np
 
 from . import sdpsolver
 from .extract import ExtractionError, extract_atoms, flat_truncation
-from .momentsdp import build_max_relaxation, build_min_relaxation, sign_invariant
+from .momentsdp import build_max_relaxation, build_min_relaxation
 from .poly import Polynomial, tensor_to_poly_vector
 from .sdpsolver import SolveStatus, SolverOptions, verify_solution
 from .tensor import contract_partial
@@ -356,9 +360,8 @@ class _Driver:
         self.ipm_iterations = 0
         self.base_ineqs = [system.f] if opts.nonneg else []
         # order at which the next hierarchy of each family ("min", "max")
-        # starts (_succeeded); the first backward check starts where the
-        # smallest eigenvalue was found
-        self._warm = {}
+        # starts (_first, _succeeded); both start at k0 + 1 (module docstring)
+        self._warm = {"min": system.k0 + 1, "max": system.k0 + 1}
         # per-order parts shared by this sweep's relaxations (build_min_relaxation)
         self._relaxations = {}
 
@@ -405,8 +408,7 @@ class _Driver:
 
     def _first(self, family):
         """The order at which the family's next hierarchy starts."""
-        sys_ = self.system
-        return min(self._warm.get(family, sys_.k0), sys_.k0 + self.opts.kmax_offset)
+        return min(self._warm[family], self.system.k0 + self.opts.kmax_offset)
 
     def _succeeded(self, family, first, k):
         """Move the family's start after a hierarchy from ``first`` succeeded at k.
@@ -444,17 +446,14 @@ class _Driver:
             return self._verified_atoms(measure.points, k, ineqs)
         return None
 
-    def _min_hierarchy(self, extra_ineqs, phase, infeasible, delta=None, skip=0):
+    def _min_hierarchy(self, extra_ineqs, phase, infeasible, delta=None):
         """Escalate the minimization relaxation until certified or exhausted.
 
-        The hierarchy starts ``skip`` orders above the family's start, within
-        the order budget; each order skipped counts as a failed one.  The
-        step ends "found" with an eigenpair, with the outcome ``infeasible``
-        and a certificate, or "unresolved".
+        The step ends "found" with an eigenpair, with the outcome
+        ``infeasible`` and a certificate, or "unresolved".
         """
         ineqs = self.base_ineqs + extra_ineqs
-        start = self._first("min")
-        first = min(start + skip, self.system.k0 + self.opts.kmax_offset)
+        first = self._first("min")
         for k, prob, sol, report, value in self._orders(
                 first, build_min_relaxation, ineqs, phase, delta):
             if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
@@ -464,8 +463,7 @@ class _Driver:
             pair = self._accept_atoms(self._atoms(prob, sol, k, ineqs), k, value)
             if pair is None:
                 continue
-            self._succeeded("min", start, k)
-            self._warm.setdefault("max", k)
+            self._succeeded("min", first, k)
             return StepResult(outcome="found", pair=pair)
         return StepResult(outcome="unresolved",
                           reason="no flat truncation or certificate within order budget")
@@ -499,7 +497,7 @@ class _Driver:
                 # the shifted minimization over this gap starts no lower
                 # than k (module docstring)
                 self._succeeded("max", first, k)
-                self._warm["min"] = max(self._warm.get("min", sys_.k0), k)
+                self._warm["min"] = max(self._warm["min"], k)
                 return True, value, False
             atoms = self._atoms(prob, sol, k, ineqs)
             if not atoms:
@@ -583,11 +581,7 @@ class _Driver:
                          isolated=isolated, order_used=k)
 
     def smallest(self):
-        # no moment vector of a sign-invariant system flattens at order k0
-        # (module docstring)
-        sys_ = self.system
-        skip = int(sign_invariant(sys_.f, sys_.h, self.base_ineqs))
-        return self._min_hierarchy([], "smallest-min", "no-eigenvalue", skip=skip)
+        return self._min_hierarchy([], "smallest-min", "no-eigenvalue")
 
     def next_after(self, lam_i):
         opts = self.opts

@@ -260,35 +260,26 @@ def _hierarchies(log):
 def _start_rules_seen(kind, A):
     """Check every hierarchy's first order against the start rules.
 
-    The smallest-eigenvalue hierarchy starts at k0, or at k0 + 1 when the
-    system is sign-invariant, and counts a skipped k0 as a failed order.
-    A hierarchy that succeeds at order k after solving lower orders sends
-    the next one of its family to k; one that succeeds at the first order
-    tried sends it to max(k0, k - 1).  The first backward check starts at
-    the order that found the smallest eigenvalue, a check that fails on an
-    eigenvalue inside the gap sends the next one to the order that saw
-    it, and a shifted minimization starts no lower than its passed check.
-    Returns the rules the sweep exercised.
+    Both families, the minimizations and the backward checks, start at
+    k0 + 1.  A hierarchy that succeeds at order k after solving lower
+    orders sends the next one of its family to k; one that succeeds at
+    the first order tried sends it to max(k0, k - 1).  A check that fails
+    on an eigenvalue inside the gap sends the next one to the order that
+    saw it, and a shifted minimization starts no lower than its passed
+    check.  Returns the rules the sweep exercised.
     """
     spec = full_sweep(kind, A)
-    system = EigenSystem(kind, A)
-    k0 = system.k0
+    k0 = EigenSystem(kind, A).k0
     kmax = k0 + SweepOptions().kmax_offset
     hierarchies = _hierarchies(spec.log)
-    invariant = sign_invariant(system.f, system.h, [])
-    start, seen = {"min": k0 + 1 if invariant else k0}, set()
-    if invariant:
-        seen.add("smallest at k0 + 1 when sign-invariant")
+    start, seen = {"min": k0 + 1, "max": k0 + 1}, set()
     for h, after in zip(hierarchies, hierarchies[1:] + [None]):
         family, first, k = h["family"], h["orders"][0], h["orders"][-1]
         assert first == min(start[family], kmax), (h, start)
+        if h is next(g for g in hierarchies if g["family"] == family):
+            seen.add(f"first {family} at k0 + 1")
         if family == "min" and after is not None:
-            # the smallest-eigenvalue hierarchy's skipped k0 counts as failed
-            tried = k0 if "max" not in start else first
-            start["min"] = k if k > tried else max(k0, k - 1)
-            if "max" not in start:
-                start["max"] = k
-                seen.add("first check at the smallest's order")
+            start["min"] = k if k > first else max(k0, k - 1)
         elif h.get("passed"):
             start["max"] = k if k > first else max(k0, k - 1)
             start["min"] = max(start["min"], k)
@@ -301,19 +292,18 @@ def _start_rules_seen(kind, A):
 
 
 def test_hierarchies_start_where_they_last_succeeded():
-    rules = {"smallest at k0 + 1 when sign-invariant",
-             "first check at the smallest's order",
+    rules = {"first min at k0 + 1", "first max at k0 + 1",
              "min: lower orders failed", "min: first order succeeded",
              "max: lower orders failed", "max: first order succeeded"}
     # every minimization of ex56 Z and of the random H tensor that finds an
     # eigenvalue succeeds at the first order it solves; ex54(3) Z, of odd
-    # order, is not sign-invariant
+    # order, is not sign-invariant and starts at k0 + 1 all the same
     for label, kind, A, unused in [
             ("ex56", "Z", fixtures.ex56(), {"min: lower orders failed"}),
             ("random(4, 2, 7)", "H", fixtures.random_tensor(4, 2, seed=7),
              {"min: lower orders failed"}),
             ("ex51", "H", fixtures.ex51(), set()),
-            ("ex54(3)", "Z", fixtures.ex54(3), {"smallest at k0 + 1 when sign-invariant"})]:
+            ("ex54(3)", "Z", fixtures.ex54(3), set())]:
         assert _start_rules_seen(kind, A) == rules - unused, (label, kind)
 
 
@@ -372,15 +362,24 @@ def _first_smallest_order(spec):
     return next(e["k"] for e in spec.log if e.get("phase") == "smallest-min" and "status" in e)
 
 
-def test_smallest_hierarchy_starts_above_k0_when_sign_invariant():
-    for kind, A, skip in [("H", fixtures.ex51(), 1), ("Z", fixtures.ex56(), 1),
-                          ("Z", fixtures.random_tensor(3, 2, seed=905), 0)]:
+def test_smallest_hierarchy_starts_above_k0():
+    # odd-order Z too: its order-k0 relaxation can extract (above), but the
+    # first check then fails at k0 and runs again one order up
+    for kind, A in [("H", fixtures.ex51()), ("Z", fixtures.ex56()),
+                    ("Z", fixtures.random_tensor(3, 2, seed=905))]:
         spec = full_sweep(kind, A)
         assert spec.termination == Termination.CERTIFIED_COMPLETE
-        assert _first_smallest_order(spec) == EigenSystem(kind, A).k0 + skip
+        assert _first_smallest_order(spec) == EigenSystem(kind, A).k0 + 1
     # without a budget above k0, k0 is still solved
     spec = full_sweep("H", fixtures.ex51(), SweepOptions(kmax_offset=0))
     assert _first_smallest_order(spec) == EigenSystem("H", fixtures.ex51()).k0
+    # a later hierarchy still probes down to k0: this m = 3, n = 2 H sweep
+    # closes with an infeasibility certificate at k0 = 2
+    A = Tensor(np.random.default_rng((2015, 6)).standard_normal((2, 2, 2)))
+    spec = full_sweep("H", A)
+    assert spec.termination == Termination.CERTIFIED_COMPLETE and len(spec.values) == 2
+    assert [e["k"] for e in spec.log if e.get("note") == "termination certificate"] \
+        == [EigenSystem("H", A).k0] == [2]
 
 
 def test_empty_spectra_still_certified_above_k0():
