@@ -19,11 +19,13 @@ Both hierarchies run through one order loop, and every relaxation result
 the sweep reads passes one gate there: :func:`verify_solution`, which
 re-checks it against the problem data (shapes, finiteness and the
 feasibility of y, or the proof of a dual ray).  The solver's status only
-chooses that check, and its reported objective and metrics are never
-read.  The relaxation value is the bound on the relaxation's optimum
-that the result's duals prove (verify_solution's ``bound``), so every
-value the sweep compares holds for the exact relaxation, up to the
-margin stated in :mod:`sdpsolver`.
+chooses that check, and its metrics are never read.  The relaxation
+value is the bound on the relaxation's optimum that the result's duals
+prove (verify_solution's ``bound``), so every value the sweep compares
+holds for the exact relaxation, up to the margin stated in
+:mod:`sdpsolver`.  A step that ends on an infeasible relaxation keeps
+its order, the verified result, whose duals are the ray, and the
+check's report as its ``certificate``.
 
 Each family of hierarchies, the minimizations and the backward checks,
 starts at k0 + 1, within the order budget, and then where the last one
@@ -459,7 +461,7 @@ class _Driver:
             if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
                 return StepResult(
                     outcome=infeasible, reason=f"{phase} relaxation infeasible at k={k}",
-                    certificate={"k": k, "certificate": sol.certificate, "report": report})
+                    certificate={"k": k, "solution": sol, "report": report})
             pair = self._accept_atoms(self._atoms(prob, sol, k, ineqs), k, value)
             if pair is None:
                 continue

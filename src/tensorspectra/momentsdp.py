@@ -411,8 +411,9 @@ def build_min_relaxation(f, eqs, ineqs, k, store=None):
 def build_max_relaxation(f, eqs, ineqs, k, store=None):
     """Order-k moment relaxation of maximizing f over {eqs = 0, ineqs >= 0}.
 
-    Internally minimizes <-f, y>; reported objectives are in the maximize
-    sense.  An upper bound f <= B enters through ineqs as the polynomial
+    Internally minimizes <-f, y>; the bound that
+    :func:`~tensorspectra.sdpsolver.verify_solution` reports is in the
+    maximize sense.  An upper bound f <= B enters through ineqs as the polynomial
     B - f.  ``store`` is as for :func:`build_min_relaxation`.
     """
     return _build_relaxation(f.scale(-1.0), eqs, ineqs, k, True, store)

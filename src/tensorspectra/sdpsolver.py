@@ -112,22 +112,32 @@ that iterate.
 
 The iteration's tolerances are module constants: EQ_RANK_TOL sets the
 rank of G and EQ_GAP_TOL an inconsistent right-hand side, EPS_FEAS and
-EPS_GAP define an optimum, TAU_KAPPA_TOL an infeasibility ray,
+EPS_GAP define an optimum, TAU_KAPPA_TOL the collapse that shows a ray,
 STATIC_REG regularizes the reduced system, STEP_FRAC damps each step,
 and INACCURATE_TOL separates an INACCURATE best iterate from an
 ITERATION_LIMIT one.  :func:`verify_solution` checks a moment vector y
 with VERIFY_FEAS and VERIFY_PSD, and proves with MOMENT_MARGIN.
 :class:`SolverOptions` holds only the iteration budget ``max_iter``.
 
+A :class:`ConicSolution` holds its status, y, the duals (mu, Z_j) as
+``eq_duals`` and ``block_duals``, and metrics.  An OPTIMAL, INACCURATE or
+ITERATION_LIMIT result is a primal-dual pair (y, mu, Z_j).  A
+PRIMAL_INFEASIBLE result is a dual ray (mu, Z_j), scaled to b.mu = 1, with
+y None; a DUAL_INFEASIBLE one holds its primal ray in y, with no duals.
+
 Past the equalities' own certificate, the solver returns a dual ray only
-once tau has collapsed against kappa, with G^T mu + sum_j adj_j(Z_j)
-within EPS_FEAS of zero relative to the ray's norm, scaled to b.mu = 1.
+once tau has collapsed against kappa and the ray passes the very test
+:func:`verify_solution` makes of it: b.mu above its slack (:func:`_slack`,
+below).  So every ray of the iteration passes the check, and the slack
+is the one rule for such a ray: a ray it cannot prove lets the iteration run
+on, and a problem without a moment bound, where nothing is proven, never
+ends on a collapse.
 
 A status is advice, not proof.  :func:`verify_solution` reads it only to
 choose the check: a PRIMAL_INFEASIBLE result is checked as a dual ray,
-any other as a primal-dual pair (y, mu, Z_j).  It never reads a result's
-objective or metrics, and fails, rather than raising on, a result whose
-arrays are missing or do not match the problem's shapes.
+any other as a primal-dual pair.  It never reads a result's metrics, and
+fails, rather than raising on, a result whose arrays are missing or do
+not match the problem's shapes.
 
 Every claim it accepts is proven from an a priori bound on the moments,
 in the manner of the rigorous SDP bounds of Jansson, Chaykin and Keil
@@ -227,10 +237,8 @@ class SolverOptions:
 class ConicSolution:
     status: SolveStatus
     y: np.ndarray | None = None
-    objective: float | None = None
     eq_duals: np.ndarray | None = None
     block_duals: list | None = None
-    certificate: dict | None = None
     metrics: dict = field(default_factory=dict)
 
     @property
@@ -527,18 +535,18 @@ def _equality_factors(ws, shared):
 def solve(problem, options=None):
     """Solve a conic problem, returning a :class:`ConicSolution`.
 
-    The reported objective is in the problem's stated sense (max problems
-    report the maximum).  Statuses follow :class:`SolveStatus`; OPTIMAL and
-    PRIMAL_INFEASIBLE satisfy the invariants checked by
-    :func:`verify_solution`.  ``eq_duals`` is a least-squares solution mu
-    of G^T mu = c - sum_j adj_j(Z_j) for the returned ``block_duals`` Z_j,
-    zero on the rows of G that depend on the others, computed from the
-    iterate as (G^+)^T (c - sum_j adj_j(Z_j)), with (G^+)^T from one
-    pivoted QR factorization of G^T that the relaxations sharing the
-    problem's ``eq_factors`` and its G share too.  When that factorization
-    shows G y = b inconsistent, the result is PRIMAL_INFEASIBLE after no
-    iteration, with the combination of rows it found as ``mu`` and every
-    block of the certificate zero.
+    Statuses follow :class:`SolveStatus`; OPTIMAL and PRIMAL_INFEASIBLE
+    satisfy the invariants checked by :func:`verify_solution`, and a ray
+    that the collapse of tau shows is returned only once it passes that
+    check.  For a primal-dual pair, ``eq_duals`` is a least-squares solution
+    mu of G^T mu = c - sum_j adj_j(Z_j) for the returned ``block_duals``
+    Z_j, zero on the rows of G that depend on the others, computed from the
+    iterate as (G^+)^T (c - sum_j adj_j(Z_j)), with (G^+)^T from one pivoted
+    QR factorization of G^T that the relaxations sharing the problem's
+    ``eq_factors`` and its G share too.  When that factorization shows
+    G y = b inconsistent, the result is PRIMAL_INFEASIBLE after no
+    iteration, with the combination of rows it found as ``eq_duals`` and every block of
+    ``block_duals`` zero.
     """
     opts = options or SolverOptions()
     ws = _workspace(problem)
@@ -550,8 +558,8 @@ def solve(problem, options=None):
     # solution of the dual equation.
     B, pinv_t, farkas = _equality_factors(ws, problem.eq_factors)
     if farkas is not None:
-        cert = {"mu": farkas.copy(), "blocks": [np.zeros((q, q)) for q in cone.sides]}
-        return ConicSolution(status=SolveStatus.PRIMAL_INFEASIBLE, certificate=cert,
+        return ConicSolution(status=SolveStatus.PRIMAL_INFEASIBLE, eq_duals=farkas.copy(),
+                             block_duals=[np.zeros((q, q)) for q in cone.sides],
                              metrics={"iterations": 0, "reason": "inconsistent-equalities"})
     m = B.shape[1]
     y0 = pinv_t.T @ ws.b                                            # G y0 = b
@@ -609,7 +617,6 @@ def solve(problem, options=None):
         if pres <= EPS_FEAS and dres <= EPS_FEAS and relgap <= EPS_GAP:
             return ConicSolution(
                 status=SolveStatus.OPTIMAL, y=y / tau,
-                objective=float(ws.sign * pobj),
                 eq_duals=mu / tau, block_duals=[Zj / tau for Zj in Z_blocks],
                 metrics=metrics)
 
@@ -617,19 +624,19 @@ def solve(problem, options=None):
         if merit > 1e3 * best[0] and best[0] < INACCURATE_TOL:
             break
 
-        # infeasibility rays become visible as tau collapses against kappa
+        # infeasibility rays become visible as tau collapses against kappa;
+        # one is returned, scaled to b.mu = 1, once verify_solution's own
+        # test on the returned arrays proves it
         collapsed = tau <= TAU_KAPPA_TOL * max(1.0, kappa)
         bmu = ws.b @ mu
         if collapsed and bmu > 0.0:
-            cert_scale = np.linalg.norm(mu) + sum(np.linalg.norm(Z[s]) for s in cone.spans)
-            farkas = np.max(np.abs(rd + ws.c * tau))     # G^T mu + adj(Z)
-            if bmu > EPS_FEAS * cert_scale and \
-                    farkas <= EPS_FEAS * ws.opscale * cert_scale:
-                scale = 1.0 / bmu
-                cert = {"mu": mu * scale, "blocks": [Zj * scale for Zj in Z_blocks]}
+            scale = 1.0 / bmu
+            ray_mu, ray_Z = mu * scale, Z * scale
+            if ws.b @ ray_mu > _slack(ws, ray_mu, ray_Z)[0]:
                 metrics["reason"] = "tau-kappa-collapse"
-                return ConicSolution(status=SolveStatus.PRIMAL_INFEASIBLE,
-                                     certificate=cert, metrics=metrics)
+                return ConicSolution(status=SolveStatus.PRIMAL_INFEASIBLE, eq_duals=ray_mu,
+                                     block_duals=[Zj.copy() for Zj in cone.views(ray_Z)],
+                                     metrics=metrics)
         cy = ws.c @ y
         if collapsed and cy < 0.0 and cy < -EPS_FEAS * max(1.0, np.linalg.norm(y)):
             ray = y / (-cy)
@@ -638,8 +645,8 @@ def solve(problem, options=None):
             ray_psd = min(_least_eigenvalue(M) for M in cone.views(ws.apply(ray)))
             if ray_eq <= EPS_FEAS * ws.opscale * ray_scale and \
                     ray_psd >= -EPS_FEAS * ray_scale:
-                return ConicSolution(status=SolveStatus.DUAL_INFEASIBLE,
-                                     certificate={"ray": ray}, metrics=metrics)
+                return ConicSolution(status=SolveStatus.DUAL_INFEASIBLE, y=ray,
+                                     metrics=metrics)
 
         # Nesterov-Todd scalings and the reduced system
         #   K = B^T Phi B + STATIC_REG I,
@@ -809,9 +816,7 @@ def solve(problem, options=None):
     metrics = dict(metrics, iterations=steps, best_iteration=metrics["iterations"])
     status = SolveStatus.INACCURATE if merit <= INACCURATE_TOL \
         else SolveStatus.ITERATION_LIMIT
-    yb = yb / taub
-    return ConicSolution(status=status, y=yb, objective=float(ws.sign * (ws.c @ yb)),
-                         eq_duals=mub / taub,
+    return ConicSolution(status=status, y=yb / taub, eq_duals=mub / taub,
                          block_duals=[Zj / taub for Zj in cone.views(Zb)],
                          metrics=metrics)
 
@@ -824,15 +829,10 @@ def _well_formed(ws, sol):
 
     if not isinstance(sol, ConicSolution) or not isinstance(sol.status, SolveStatus):
         return False
-    if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
-        cert = sol.certificate if isinstance(sol.certificate, dict) else {}
-        mu, Zs = cert.get("mu"), cert.get("blocks")
-    elif shaped(sol.y, ws.N):
-        mu, Zs = sol.eq_duals, sol.block_duals
-    else:
+    if sol.status is not SolveStatus.PRIMAL_INFEASIBLE and not shaped(sol.y, ws.N):
         return False
-    sides = ws.cone.sides
-    return shaped(mu, ws.p) and isinstance(Zs, (list, tuple)) and \
+    Zs, sides = sol.block_duals, ws.cone.sides
+    return shaped(sol.eq_duals, ws.p) and isinstance(Zs, (list, tuple)) and \
         len(Zs) == len(sides) and all(shaped(Z, q, q) for Z, q in zip(Zs, sides))
 
 
@@ -860,12 +860,12 @@ def verify_solution(problem, sol):
     status = getattr(sol, "status", None)
     report = {"status": status.value if isinstance(status, SolveStatus) else "malformed",
               "checks": checks}
-    if checks["well_formed"] and sol.status is SolveStatus.PRIMAL_INFEASIBLE:
-        _verify_ray(ws, sol.certificate["mu"], ws.cone.flatten(sol.certificate["blocks"]),
-                    checks, report)
-    elif checks["well_formed"]:
-        _verify_pair(ws, sol.y, sol.eq_duals, ws.cone.flatten(sol.block_duals),
-                     checks, report)
+    if checks["well_formed"]:
+        Z = ws.cone.flatten(sol.block_duals)
+        if sol.status is SolveStatus.PRIMAL_INFEASIBLE:
+            _verify_ray(ws, sol.eq_duals, Z, checks, report)
+        else:
+            _verify_pair(ws, sol.y, sol.eq_duals, Z, checks, report)
     report["ok"] = all(checks.values())
     return report
 

@@ -1,4 +1,4 @@
-"""Benchmark tensors used across the test suite.
+"""Benchmark tensors, and a helper on solver results, used across the test suite.
 
 The ex52 entries A_312 and A_332 are 0.6780 and 0.1325; the reference
 eigenvalues reproduce to all four digits only with those values (the
@@ -129,3 +129,9 @@ def random_tensor(m, n, seed):
     """Standard normal entries from a fixed-seed generator."""
     rng = np.random.default_rng(seed)
     return Tensor(rng.standard_normal((n,) * m))
+
+
+def objective(problem, sol):
+    """c.y of a result's y in the problem's stated sense: a maximization's
+    c is its objective negated, so its value is -c.y."""
+    return (-1.0 if problem.maximize else 1.0) * float(problem.c @ sol.y)

@@ -31,7 +31,7 @@ def _toy_min():
 def test_toy_min_optimal():
     sol = solve(_toy_min())
     assert sol.status == SolveStatus.OPTIMAL
-    assert sol.objective == pytest.approx(1.0, abs=1e-6)
+    assert fixtures.objective(_toy_min(), sol) == pytest.approx(1.0, abs=1e-6)
     assert verify_solution(_toy_min(), sol)["ok"]
 
 
@@ -69,7 +69,7 @@ def test_example51_value_at_order3():
     prob = build_min_relaxation(f, hs, [], 3)
     sol = solve(prob)
     assert sol.status == SolveStatus.OPTIMAL
-    assert sol.objective == pytest.approx(23.0, abs=5e-4)
+    assert fixtures.objective(prob, sol) == pytest.approx(23.0, abs=5e-4)
 
 
 def test_verify_rejects_corrupted_point():
@@ -103,7 +103,7 @@ def test_high_order_rays_are_proven_and_scaled_ones_are_not(k):
     assert report["ok"], report
     assert report["farkas_bmu"] == pytest.approx(1.0)
     assert report["slack"] < 1e-6
-    scaled = replace(sol, certificate=dict(sol.certificate, mu=1.1 * sol.certificate["mu"]))
+    scaled = replace(sol, eq_duals=1.1 * sol.eq_duals)
     report = verify_solution(prob, scaled)
     assert report["checks"]["finite"] and not report["checks"]["proven"]
     assert not report["ok"]
@@ -137,13 +137,26 @@ def test_an_indefinite_ray_block_proves_nothing():
     N = N + N.T
     if scipy.linalg.eigvalsh(N)[0] >= 0.0:
         N = -N
-    Zs = [Z.copy() for Z in sol.certificate["blocks"]]
+    Zs = [Z.copy() for Z in sol.block_duals]
     Zs[0] += N * (scipy.linalg.eigvalsh(Zs[0])[-1] + 1.0) / -scipy.linalg.eigvalsh(N)[0]
     assert scipy.linalg.eigvalsh(Zs[0])[0] <= -1.0 + 1e-9
-    assert np.max(np.abs(block.matrix.T @ (Zs[0] - sol.certificate["blocks"][0]).ravel())) < 1e-9
-    report = verify_solution(prob, replace(sol, certificate=dict(sol.certificate, blocks=Zs)))
+    assert np.max(np.abs(block.matrix.T @ (Zs[0] - sol.block_duals[0]).ravel())) < 1e-9
+    report = verify_solution(prob, replace(sol, block_duals=Zs))
     assert report["farkas_bmu"] == pytest.approx(1.0) and report["slack"] > 1.0
     assert not report["checks"]["proven"]
+
+
+def test_a_ray_is_returned_only_once_proven():
+    # the solver's ray exit is verify_solution's own test: with the moment
+    # bound, the collapse of tau ends on a ray that the check passes;
+    # without one, no ray is proven, so the solve does not end on one
+    prob = _ex56_z_above_the_top(4)
+    sol = solve(prob)
+    assert sol.status is SolveStatus.PRIMAL_INFEASIBLE and sol.y is None
+    assert sol.metrics["reason"] == "tau-kappa-collapse"
+    assert verify_solution(prob, sol)["ok"]
+    unbounded = replace(prob, moment_bound=None)
+    assert solve(unbounded).status is not SolveStatus.PRIMAL_INFEASIBLE
 
 
 def test_without_a_moment_bound_nothing_is_proven():
@@ -168,10 +181,9 @@ def test_pair_bound_holds_in_the_problem_sense():
     for build in (build_min_relaxation, build_max_relaxation):
         prob = build(f, hs, [], 4)
         sol = solve(prob)
-        value = (-1.0 if prob.maximize else 1.0) * float(prob.c @ sol.y)
+        value = fixtures.objective(prob, sol)
         report = verify_solution(prob, sol)
         assert report["ok"]
-        assert sol.objective == pytest.approx(value)
         assert abs(report["bound"] - value) <= 1e-5
         assert (report["bound"] >= value) == prob.maximize
 
@@ -241,7 +253,7 @@ def test_unbounded_problem_yields_dual_infeasibility_ray(build):
     prob = build(x)
     sol = solve(prob)
     assert sol.status == SolveStatus.DUAL_INFEASIBLE
-    ray = sol.certificate["ray"]
+    ray = sol.y
     scale = max(1.0, np.max(np.abs(ray)))
     assert prob.c @ ray == pytest.approx(-1.0)
     assert np.max(np.abs(prob.eq_rows @ ray)) <= 1e-7 * scale
@@ -288,7 +300,7 @@ def test_equalities_pin_every_moment():
                         eq_rhs=np.array([1.0, 0.5, 1.0]), blocks=[moment_structure(1, 1)])
     sol = solve(prob)
     assert sol.status == SolveStatus.OPTIMAL
-    assert sol.objective == pytest.approx(1.0, abs=1e-7)
+    assert fixtures.objective(prob, sol) == pytest.approx(1.0, abs=1e-7)
     assert verify_solution(prob, sol)["ok"]
 
 
@@ -357,7 +369,8 @@ def test_inconsistent_equalities_end_on_a_proven_ray_without_iterating():
     sol = solve(prob)
     assert sol.status is SolveStatus.PRIMAL_INFEASIBLE
     assert sol.iterations == 0
-    assert np.allclose(sol.certificate["mu"], [1.0, 1.0, -1.0], rtol=0.0, atol=1e-15)
+    assert sol.y is None
+    assert np.allclose(sol.eq_duals, [1.0, 1.0, -1.0], rtol=0.0, atol=1e-15)
     report = verify_solution(prob, sol)
     assert report["ok"], report
     assert report["farkas_bmu"] == pytest.approx(1.0)
@@ -402,7 +415,7 @@ def test_moment_in_no_block():
                         blocks=[block])
     sol = solve(prob)
     assert sol.status == SolveStatus.OPTIMAL
-    assert sol.objective == pytest.approx(0.0, abs=1e-7)
+    assert fixtures.objective(prob, sol) == pytest.approx(0.0, abs=1e-7)
     assert verify_solution(prob, sol)["ok"]
 
 
@@ -609,13 +622,13 @@ def test_schur_matches_dense_reference(batch, monkeypatch):
 
 
 def test_returned_blocks_own_their_memory():
-    # block duals and certificate blocks are per-block arrays of their own:
+    # the block duals of a pair and of a ray are per-block arrays of their own:
     # changing one changes no other array of any result, and a later solve
     # leaves an earlier result as it was
     pair_prob, ray_prob = _toy_min(), _ex56_z_above_the_top(4)
     pair, ray = solve(pair_prob), solve(ray_prob)
     assert ray.status is SolveStatus.PRIMAL_INFEASIBLE
-    results = [pair.block_duals, ray.certificate["blocks"]]
+    results = [pair.block_duals, ray.block_duals]
     saved = [[Z.copy() for Z in blocks] for blocks in results]
     for blocks in results:
         assert all(Z.flags.owndata and Z.flags.c_contiguous for Z in blocks)
