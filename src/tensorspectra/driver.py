@@ -624,28 +624,33 @@ def next_eigenvalue(kind, A, lam_i, opts=None):
 
 
 def full_sweep(kind, A, opts=None):
-    """All real eigenvalues of the requested kind, smallest to largest."""
+    """All real eigenvalues of the requested kind, smallest to largest.
+
+    Each step looks for the next eigenvalue above the last one found, so a
+    step whose value is not more than eps_dedup above it breaks the method:
+    the sweep ends "inconsistent" at once, keeping every pair it found.
+    """
     opts = opts or SweepOptions()
     system = EigenSystem(kind, A)
     driver = _Driver(system, opts)
     pairs = []
-    final_certificate = None
 
     # the first step finds the smallest eigenvalue, each later one the next
     for _ in range(MAX_STEPS + 1):
         step = driver.next_after(pairs[-1].value) if pairs else driver.smallest()
         if step.outcome != "found":
             termination = _ENDINGS[step.outcome]
-            final_certificate = step.certificate
-            if final_certificate is None:
+            if step.certificate is None:
                 driver._record(phase="sweep", note=step.reason)
+            else:
+                driver._record(phase="sweep", note="termination certificate",
+                               k=step.certificate["k"])
             break
-        if pairs and abs(step.pair.value - pairs[-1].value) <= opts.eps_dedup:
-            pairs[-1] = _merge_pairs(pairs[-1], step.pair)
-            driver._record(phase="sweep", note="merged rediscovered eigenvalue",
-                           value=float(step.pair.value))
-        else:
-            pairs.append(step.pair)
+        pairs.append(step.pair)
+        if len(pairs) > 1 and pairs[-1].value - pairs[-2].value <= opts.eps_dedup:
+            termination = Termination.INCONSISTENT
+            driver._record(phase="sweep", note="sweep produced non-increasing eigenvalues")
+            break
     else:
         termination = Termination.BUDGET
         driver._record(phase="sweep", note="step budget exhausted")
@@ -657,31 +662,15 @@ def full_sweep(kind, A, opts=None):
                        note="isolation inconclusive for some eigenpair; "
                             "completeness not certified")
 
-    # consistency checks end the sweep uncertified, keeping what it found
+    # more H-eigenvalues than the bound allows end the sweep uncertified,
+    # keeping what it found
     if system.kind is Kind.H and len(pairs) > h_count_bound(system.m, system.n):
         termination = Termination.INCONSISTENT
         driver._record(phase="sweep",
                        note=f"found {len(pairs)} H-eigenvalues, more than the bound "
                             f"{h_count_bound(system.m, system.n)}; numerical inconsistency")
 
-    values = [p.value for p in pairs]
-    if any(b - a <= opts.eps_dedup for a, b in zip(values, values[1:])):
-        termination = Termination.INCONSISTENT
-        driver._record(phase="sweep", note="sweep produced non-increasing eigenvalues")
-
     counters = {"sdp_solves": driver.sdp_solves,
                 "ipm_iterations": driver.ipm_iterations}
-    if final_certificate is not None:
-        driver._record(phase="sweep", note="termination certificate",
-                       k=final_certificate.get("k"))
     return Spectrum(kind=system.kind, eigenpairs=pairs, termination=termination,
                     log=driver.log, counters=counters)
-
-
-def _merge_pairs(a, b):
-    vectors = a.vectors + b.vectors
-    return Eigenpair(kind=a.kind, value=a.value,
-                     vectors=[vectors[i] for i in _distinct(vectors)],
-                     residual=max(a.residual, b.residual),
-                     isolated=a.isolated and b.isolated,
-                     order_used=max(a.order_used, b.order_used))

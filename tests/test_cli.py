@@ -180,6 +180,17 @@ def test_inconsistent_sweep_exit3(ex51_file, capsys, monkeypatch):
     assert "termination: inconsistent" in capsys.readouterr().out
 
 
+def test_value_within_tol_dedup_of_the_last_exit3(tmp_path, capsys):
+    E = np.zeros((2,) * 4)
+    E[0, 0, 0, 0], E[1, 1, 1, 1] = 1.0, 1.0005
+    path = tmp_path / "diag.tsr"
+    path.write_text(serialize_tensor(tensorspectra.Tensor(E)))
+    assert run(["heig", str(path), "--tol-dedup", "1e-3"]) == 3
+    out = capsys.readouterr().out
+    assert "H-eigenvalues (2)" in out and "termination: inconsistent" in out
+    assert "1.0000 " in out and "1.0005 " in out
+
+
 def test_both_mode_runs_two_sweeps(ex13_file, capsys):
     assert run(["both", ex13_file]) == 0
     out = capsys.readouterr().out

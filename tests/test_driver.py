@@ -711,6 +711,22 @@ def test_value_below_the_last_ends_inconsistent(monkeypatch):
     spec = full_sweep("Z", fixtures.ex51())
     assert spec.termination == Termination.INCONSISTENT
     assert spec.values == pytest.approx([23.0, 22.0], abs=5e-4)
+    assert len(steps) == 1
+
+
+def test_a_rediscovered_value_ends_the_sweep_at_once():
+    # the H-eigenvalues of diag(1, 1.0005) are its diagonal entries; with
+    # eps_dedup above their distance the second is no step above the first,
+    # which breaks the sweep: it ends INCONSISTENT with both values, rather
+    # than finding 1.0005 again on every step
+    E = np.zeros((2,) * 4)
+    E[0, 0, 0, 0], E[1, 1, 1, 1] = 1.0, 1.0005
+    spec = full_sweep("H", Tensor(E), SweepOptions(eps_dedup=1e-3))
+    assert spec.termination == Termination.INCONSISTENT
+    np.testing.assert_allclose(spec.values, [1.0, 1.0005], rtol=0, atol=1e-8)
+    assert spec.counters["sdp_solves"] <= 8
+    assert any(e.get("note") == "sweep produced non-increasing eigenvalues"
+               for e in spec.log)
 
 
 def _off_the_equalities(problem, sol):

@@ -3,7 +3,9 @@
 - lam(-A) = -lam(A) for both kinds (sweeps without ``nonneg``);
 - relabeling the coordinates, the same permutation in every mode, keeps
   both spectra;
-- an orthogonal change of basis in every mode keeps the Z spectrum.
+- an orthogonal change of basis in every mode keeps the Z spectrum;
+- scaling the tensor by c scales both spectra by c: a sweep of c·A that
+  ends certified-complete holds c times the n = 2 oracle's values.
 
 Each transformed sweep must end as the original does, with as many
 values, each within 1e-6 (1 + |lam|) of its prediction.  The random
@@ -17,7 +19,8 @@ import numpy as np
 import pytest
 
 import fixtures
-from tensorspectra.driver import SweepOptions, full_sweep
+from tensorspectra.driver import SweepOptions, Termination, full_sweep
+from tensorspectra.oracle import brute_h_n2, brute_z_n2
 from tensorspectra.tensor import Tensor
 
 SEEDS = range(24)
@@ -80,3 +83,26 @@ def test_cycled_coordinates_keep_the_spectrum(kind, name):
     cycle = np.eye(3)[[1, 2, 0]]
     got = full_sweep(kind, _in_every_mode(A, cycle), SweepOptions(nonneg=nonneg))
     _assert_same(spec, spec.values, got)
+
+
+# Z: an m = 3 tensor with 6 real Z-eigenvalues; H: an m = 4 tensor with 2
+_SCALED = {"Z": ((77, 5), 3, brute_z_n2), "H": ((77, 3), 4, brute_h_n2)}
+_ABSOLUTE_TOLERANCES = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: absolute tolerances")
+
+
+@pytest.mark.parametrize("kind, c", [
+    pytest.param("Z", 1e-6, marks=_ABSOLUTE_TOLERANCES),
+    pytest.param("Z", 1e-4, marks=_ABSOLUTE_TOLERANCES),
+    ("Z", 1.0), ("Z", 1e4), ("Z", 1e6),
+    pytest.param("H", 1e-6, marks=_ABSOLUTE_TOLERANCES),
+    ("H", 1e-4), ("H", 1.0), ("H", 1e4), ("H", 1e6)])
+def test_a_certified_sweep_of_a_scaled_tensor_scales_the_spectrum(kind, c):
+    seed, m, oracle = _SCALED[kind]
+    E = np.random.default_rng(seed).standard_normal((2,) * m)
+    want = oracle(Tensor(E))
+    assert want.complete
+    spec = full_sweep(kind, Tensor(c * E))
+    if spec.termination == Termination.CERTIFIED_COMPLETE:
+        assert len(spec.values) == len(want.values)
+        np.testing.assert_allclose(spec.values, c * np.array(want.values), rtol=1e-5, atol=0)
