@@ -122,6 +122,39 @@ def test_parse_errors_name_line_numbers():
         parse_tensor("2 2 dense\n1.0 2.0 3.0\n")
 
 
+# Every message parse_tensor raises, with the line it cites.  Comments and
+# blank lines sit above and between the data so that a miscounted line shows.
+@pytest.mark.parametrize("text, message", [
+    ("# only\n\n  # comments\n", "line 1: missing header line"),
+    ("", "line 1: missing header line"),
+    ("# c\n4\n", "line 2: header must be 'm n [dense|sparse]'"),
+    ("# c\n\n4 2 dense extra\n", "line 3: header must be 'm n [dense|sparse]'"),
+    ("# c\nx y\n", "line 2: non-integer order/dimension"),
+    ("# c\n4 2.5\n", "line 2: non-integer order/dimension"),
+    ("# c\n1 2\n", "line 2: need m >= 2 and n >= 1, got m=1 n=2"),
+    ("# c\n3 0 # none\n", "line 2: need m >= 2 and n >= 1, got m=3 n=0"),
+    ("# c\n3 2 csv\n", "line 2: unknown format 'csv'"),
+    ("3 2\n# c\n1 1 5.0\n", "line 3: expected 3 indices and a value, got 3 tokens"),
+    ("3 2\n\n1 1 1 1 5.0 # c\n", "line 3: expected 3 indices and a value, got 5 tokens"),
+    ("3 2\n1 1 1 1.0\n# c\n1 a 1 2.0\n", "line 4: non-integer index"),
+    ("3 2\n1 1 1.5 2.0\n", "line 2: non-integer index"),
+    ("3 2\n# c\n1 3 1 2.0\n", "line 3: index out of range (got 3, dim 2)"),
+    ("3 2\n1 0 1 2.0\n", "line 2: index out of range (got 0, dim 2)"),
+    ("3 2\n1 1 1 1.0\n\n1 1 1 2.0\n", "line 4: duplicate sparse entry (1, 1, 1)"),
+    ("2 2\n# c\n1 1 abc\n", "line 3: non-numeric value 'abc'"),
+    ("2 2\n# c\n1 1 inf\n", "line 3: non-finite value 'inf'"),
+    ("2 2 dense\n1 2\n# c\n3 nan\n", "line 4: non-finite value 'nan'"),
+    ("2 2 dense\n1 2\n3 x4\n", "line 3: non-numeric value 'x4'"),
+    # the dense count error cites the text's last line, comment or not
+    ("2 2 dense\n1.0 2.0 3.0\n", "line 2: dense format needs 4 values, got 3"),
+    ("2 2 dense\n1 2 3\n4 5\n# end\n\n", "line 5: dense format needs 4 values, got 5"),
+])
+def test_every_parse_error_names_its_line(text, message):
+    with pytest.raises(TensorFormatError) as info:
+        parse_tensor(text)
+    assert str(info.value) == message
+
+
 def test_roundtrip_sparse_and_dense():
     rng = np.random.default_rng(3)
     A = Tensor(rng.normal(size=(2, 2, 2)))
