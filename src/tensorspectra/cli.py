@@ -10,19 +10,16 @@ printed.
 from __future__ import annotations
 
 import argparse
+import itertools
+import json
 import os
 import re
 import sys
 
-from . import __version__
+from . import __version__, sdpsolver
 from .driver import SweepOptions, Termination, full_sweep
 from .momentsdp import dump_problem
 from .tensor import TensorFormatError, parse_tensor
-
-
-def _fmt(x, sig=12):
-    """Shortest fixed-significance decimal; stable across runs."""
-    return f"{float(x):.{sig}g}"
 
 
 # Every SweepOptions field the command line sets: (field, flag, type, help).
@@ -47,53 +44,36 @@ def _key(flag):
     return flag[2:].replace("-", "_")
 
 
+def _real(x):
+    """A real at 12 significant digits, so parse-and-reemit reproduces the text."""
+    return float(f"{x:.12g}")
+
+
 def emit_json(spectrum, config=None):
-    """Machine-readable report with a fixed field order.
+    """Machine-readable report: one JSON document on one line, fixed field order.
 
-    Reals carry 12 significant digits, so parse-and-reemit reproduces the
-    text exactly.  The timings section reports deterministic work counters
-    rather than wall-clock seconds: identical runs must be byte-identical.
+    The timings section reports deterministic work counters rather than
+    wall-clock seconds: identical runs must be byte-identical.
     """
-    out = []
-    out.append("{")
-    out.append(f'  "kind": "{spectrum.kind.value}",')
-    out.append('  "eigenvalues": [')
-    rows = []
-    for p in spectrum.eigenpairs:
-        vecs = ", ".join(
-            "[" + ", ".join(_fmt(x) for x in v) + "]" for v in p.vectors)
-        rows.append(
-            "    {"
-            f'"value": {_fmt(p.value)}, '
-            f'"vectors": [{vecs}], '
-            f'"residual": {_fmt(p.residual)}, '
-            f'"isolated": {"true" if p.isolated else "false"}, '
-            f'"order": {p.order_used}'
-            "}")
-    out.append(",\n".join(rows))
-    out.append("  ],")
-    out.append(f'  "termination": "{spectrum.termination.value}",')
-    cfg = config or {}
-    cfg_rows = ", ".join(
-        f'"{k}": {v}' for k, v in cfg.items())
-    out.append('  "config": {' + cfg_rows + "},")
-    cnt_rows = ", ".join(
-        f'"{k}": {int(v)}' for k, v in sorted(spectrum.counters.items()))
-    out.append('  "timings": {' + cnt_rows + "}")
-    out.append("}")
-    return "\n".join(out) + "\n"
-
-
-def _json_value(x):
-    """JSON text of an option value: true/false, an integer or a real."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    return str(x) if isinstance(x, int) else _fmt(x)
+    doc = {
+        "kind": spectrum.kind.value,
+        "eigenvalues": [{
+            "value": _real(p.value),
+            "vectors": [[_real(x) for x in v] for v in p.vectors],
+            "residual": _real(p.residual),
+            "isolated": bool(p.isolated),
+            "order": int(p.order_used),
+        } for p in spectrum.eigenpairs],
+        "termination": spectrum.termination.value,
+        "config": config or {},
+        "timings": {k: int(v) for k, v in sorted(spectrum.counters.items())},
+    }
+    return json.dumps(doc) + "\n"
 
 
 def _config_echo(opts):
-    """Every option that shaped the run, as JSON text in a fixed order."""
-    return {_key(flag): _json_value(getattr(opts, name)) for name, flag, _, _ in _OPTIONS}
+    """Every option that shaped the run, in a fixed order."""
+    return {_key(flag): getattr(opts, name) for name, flag, _, _ in _OPTIONS}
 
 
 def _print_text(spectrum, file=None):
@@ -145,13 +125,10 @@ def _sweep_options(args):
 
 def _dumping_solver(directory):
     os.makedirs(directory, exist_ok=True)
-    from . import sdpsolver
-
-    counter = [0]
+    counter = itertools.count()
 
     def solver(problem, options):
-        path = os.path.join(directory, f"sdp_{counter[0]:04d}.txt")
-        counter[0] += 1
+        path = os.path.join(directory, f"sdp_{next(counter):04d}.txt")
         with open(path, "w") as fh:
             fh.write(dump_problem(problem))
         return sdpsolver.solve(problem, options)
@@ -167,12 +144,12 @@ def run(argv=None):
         return int(exc.code or 0)
 
     try:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             A = parse_tensor(fh.read())
     except OSError as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
-    except TensorFormatError as exc:
+    except (TensorFormatError, UnicodeDecodeError) as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 2
 

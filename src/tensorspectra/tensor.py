@@ -104,70 +104,53 @@ def parse_tensor(text):
     row-major order, last index fastest.  Comments start with '#'.
     """
     lines = text.splitlines()
-    header = None
-    header_line = 0
-    body_start = 0
-    for i, raw in enumerate(lines):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            header = stripped
-            header_line = i + 1
-            body_start = i + 1
-            break
-    if header is None:
+    # (line number, tokens) of every line with data left once its comment is cut
+    rows = [(i, toks) for i, raw in enumerate(lines, 1)
+            if (toks := raw.split("#", 1)[0].split())]
+    if not rows:
         raise TensorFormatError("line 1: missing header line")
-
-    parts = header.split()
+    (h, parts), body = rows[0], rows[1:]
     if len(parts) not in (2, 3):
-        raise TensorFormatError(f"line {header_line}: header must be 'm n [dense|sparse]'")
+        raise TensorFormatError(f"line {h}: header must be 'm n [dense|sparse]'")
     try:
         m, n = int(parts[0]), int(parts[1])
     except ValueError:
-        raise TensorFormatError(f"line {header_line}: non-integer order/dimension") from None
+        raise TensorFormatError(f"line {h}: non-integer order/dimension") from None
     if m < 2 or n < 1:
-        raise TensorFormatError(f"line {header_line}: need m >= 2 and n >= 1, got m={m} n={n}")
+        raise TensorFormatError(f"line {h}: need m >= 2 and n >= 1, got m={m} n={n}")
     fmt = parts[2] if len(parts) == 3 else "sparse"
     if fmt not in ("dense", "sparse"):
-        raise TensorFormatError(f"line {header_line}: unknown format {fmt!r}")
+        raise TensorFormatError(f"line {h}: unknown format {fmt!r}")
 
-    if fmt == "sparse":
+    if fmt == "dense":
+        values = [_parse_value(tok, i) for i, toks in body for tok in toks]
+        if len(values) != n ** m:
+            raise TensorFormatError(
+                f"line {len(lines)}: dense format needs {n ** m} values, got {len(values)}")
+        return Tensor(np.array(values).reshape((n,) * m))
+
+    try:
         arr = np.zeros((n,) * m)
-        seen = set()
-        for i in range(body_start, len(lines)):
-            lineno = i + 1
-            data = lines[i].split("#", 1)[0].strip()
-            if not data:
-                continue
-            toks = data.split()
-            if len(toks) != m + 1:
-                raise TensorFormatError(
-                    f"line {lineno}: expected {m} indices and a value, got {len(toks)} tokens")
-            try:
-                idx = tuple(int(t) for t in toks[:m])
-            except ValueError:
-                raise TensorFormatError(f"line {lineno}: non-integer index") from None
-            for j in idx:
-                if j < 1 or j > n:
-                    raise TensorFormatError(f"line {lineno}: index out of range (got {j}, dim {n})")
-            if idx in seen:
-                raise TensorFormatError(f"line {lineno}: duplicate sparse entry {idx}")
-            seen.add(idx)
-            arr[tuple(j - 1 for j in idx)] = _parse_value(toks[m], lineno)
-        return Tensor(arr)
-
-    values = []
-    for i in range(body_start, len(lines)):
-        lineno = i + 1
-        data = lines[i].split("#", 1)[0].strip()
-        if not data:
-            continue
-        for tok in data.split():
-            values.append(_parse_value(tok, lineno))
-    expected = n ** m
-    if len(values) != expected:
+    except (ValueError, MemoryError):
         raise TensorFormatError(
-            f"line {len(lines)}: dense format needs {expected} values, got {len(values)}")
-    return Tensor(np.array(values).reshape((n,) * m))
+            f"line {h}: a tensor of order {m} and dimension {n} is too large") from None
+    seen = set()
+    for i, toks in body:
+        if len(toks) != m + 1:
+            raise TensorFormatError(
+                f"line {i}: expected {m} indices and a value, got {len(toks)} tokens")
+        try:
+            idx = tuple(int(t) for t in toks[:m])
+        except ValueError:
+            raise TensorFormatError(f"line {i}: non-integer index") from None
+        for j in idx:
+            if j < 1 or j > n:
+                raise TensorFormatError(f"line {i}: index out of range (got {j}, dim {n})")
+        if idx in seen:
+            raise TensorFormatError(f"line {i}: duplicate sparse entry {idx}")
+        seen.add(idx)
+        arr[tuple(j - 1 for j in idx)] = _parse_value(toks[m], i)
+    return Tensor(arr)
 
 
 def serialize_tensor(A, fmt=None):

@@ -102,6 +102,7 @@ def test_json_roundtrip_reemission():
     spec = full_sweep("Z", fixtures.ex51())
     text = emit_json(spec)
     doc = json.loads(text)
+    assert json.dumps(doc) + "\n" == text
     for row, pair in zip(doc["eigenvalues"], spec.eigenpairs):
         # 12 significant digits survive a decimal round trip
         assert float(f"{pair.value:.12g}") == row["value"]
@@ -138,6 +139,25 @@ def test_parse_error_exit2(tmp_path, capsys):
 
 def test_missing_file_exit2(capsys):
     assert run(["zeig", "/nonexistent/file.tsr"]) == 2
+
+
+# numpy refuses both shapes before it touches memory: 40^40 entries overflow
+# the size of an array, and 10^12 entries (7.3 TiB) cannot be allocated
+@pytest.mark.parametrize("header, m, n", [("40 40", 40, 40), ("12 10", 12, 10)])
+def test_oversized_header_exit2(tmp_path, capsys, header, m, n):
+    bad = tmp_path / "big.tsr"
+    bad.write_text(f"# too large\n{header}\n1 1 1.0\n")
+    assert run(["zeig", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 2: a tensor of order {m} and dimension {n} is too large\n")
+
+
+def test_undecodable_file_exit2(tmp_path, capsys):
+    bad = tmp_path / "bad.tsr"
+    bad.write_bytes(b"4 2\n1 1 1 1 2\xff\n")
+    assert run(["zeig", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "can't decode byte 0xff" in err
 
 
 def test_bad_config_exit2(ex51_file, capsys):
@@ -196,6 +216,26 @@ def test_both_mode_runs_two_sweeps(ex13_file, capsys):
     out = capsys.readouterr().out
     assert "no real Z-eigenvalues (certified)" in out
     assert "no real H-eigenvalues (certified)" in out
+
+
+def test_json_lines_match_across_processes(ex51_file):
+    # hash randomization must not reach the output; `both` prints one
+    # document per line, each the json module's own text of what it holds
+    src = os.path.dirname(os.path.dirname(tensorspectra.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for hashseed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tensorspectra", "both", ex51_file, "--json"],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hashseed))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert [json.loads(line)["kind"] for line in lines] == ["Z", "H"]
+    for line in lines:
+        assert json.dumps(json.loads(line)) == line
 
 
 def test_dump_sdp_writes_files(ex13_file, tmp_path, capsys):

@@ -155,6 +155,15 @@ def test_every_parse_error_names_its_line(text, message):
     assert str(info.value) == message
 
 
+# numpy refuses both shapes before it touches memory: 40^40 entries overflow
+# the size of an array, and 10^12 entries (7.3 TiB) cannot be allocated
+@pytest.mark.parametrize("header, m, n", [("40 40", 40, 40), ("12 10", 12, 10)])
+def test_oversized_header_names_its_line(header, m, n):
+    with pytest.raises(TensorFormatError) as info:
+        parse_tensor(f"# too large\n{header}\n1 1 1.0\n")
+    assert str(info.value) == f"line 2: a tensor of order {m} and dimension {n} is too large"
+
+
 def test_roundtrip_sparse_and_dense():
     rng = np.random.default_rng(3)
     A = Tensor(rng.normal(size=(2, 2, 2)))
